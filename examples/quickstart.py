@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from repro import Ledger, minimum_cut
-from repro.baselines import stoer_wagner
+from repro.arena.solvers import stoer_wagner
 from repro.graphs import random_connected_graph
 
 

@@ -4,8 +4,7 @@ These are the algorithms the arena benchmarks the paper pipeline
 against: Stoer–Wagner (deterministic exact), Karger–Stein (Monte
 Carlo exact w.h.p.), 2-out contraction (Monte Carlo, unweighted),
 Matula's (2+eps)-approximation, and the VieCut-style exact reduction
-pipeline.  They were previously housed under ``repro.baselines``,
-which still re-exports them with a :class:`DeprecationWarning`.
+pipeline.
 """
 
 from repro.arena.solvers.karger_stein import karger_stein

@@ -1,12 +1,9 @@
 """Baselines: the GG18-style parallel stand-in and Table 1 cost models.
 
 The classical solver baselines (Stoer–Wagner, Karger–Stein, Matula,
-2-out contraction) moved to :mod:`repro.arena.solvers` where the
-arena registry wraps them as contenders.  Importing them from here
-still works for one release, with a :class:`DeprecationWarning`.
+2-out contraction) live in :mod:`repro.arena.solvers`, where the arena
+registry wraps them as contenders.
 """
-
-import warnings
 
 from repro.baselines.gg18 import gg18_depth_model, gg18_two_respecting, gg18_work_model
 from repro.baselines.models import (
@@ -19,10 +16,6 @@ from repro.baselines.models import (
 )
 
 __all__ = [
-    "stoer_wagner",
-    "karger_stein",
-    "matula_approx",
-    "two_out_contraction_min_cut",
     "gg18_two_respecting",
     "gg18_work_model",
     "gg18_depth_model",
@@ -33,25 +26,3 @@ __all__ = [
     "depth_all",
     "crossover_density",
 ]
-
-#: names that now live in repro.arena.solvers (same public signatures)
-_MOVED = {
-    "stoer_wagner",
-    "karger_stein",
-    "matula_approx",
-    "two_out_contraction_min_cut",
-}
-
-
-def __getattr__(name):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.baselines.{name} moved to repro.arena.solvers.{name}; "
-            "the repro.baselines alias will be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.arena.solvers as _solvers
-
-        return getattr(_solvers, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

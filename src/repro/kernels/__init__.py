@@ -1,77 +1,26 @@
-"""Fast-path kernels with a strict parity contract.
+"""The 2-respecting search's kernels, held to a strict parity contract.
 
-The reference implementations (range trees of Python node objects,
-entry-at-a-time SMAWK, per-edge centroid searches) are the *instrument*
-of this repro: their ledger charges are what the theorems are checked
-against.  This package provides drop-in fast paths whose contract is
+The paper's per-tree search reduces to one 2-D orthogonal range-search
+oracle (Lemmas A.1/A.2) probed by SMAWK and the centroid-guided
+interest-terminal search.  The per-entry formulation — range trees of
+Python node objects (:class:`repro.rangesearch.tree2d.RangeTree2D`),
+entry-at-a-time SMAWK (:mod:`repro.monge`), per-edge centroid searches
+(:func:`repro.trees.centroid.deepest_on_interest_path`) — is the
+*instrument* whose ledger charges the theorems are checked against.
+The library runs only the kernels in this package, whose contract
+against that formulation is
 
 * **bit-identical answers** (cut values, oracle sums, side masks), and
 * **identical ledger work/depth charges** (and identical structural
-  visit counters)
+  visit counters), totals and per-phase records,
 
-to the reference paths, enforced by ``tests/test_kernels_parity.py``.
-The fast paths win wall-clock by replacing per-entry Python callbacks
-with flattened CSR-style array traversals (:mod:`repro.kernels.flat2d`),
-batched oracle evaluation (the ``*_many`` methods of
-:class:`repro.rangesearch.cutqueries.CutOracle`), batched
-SMAWK drivers (:mod:`repro.kernels.monge`), a level-synchronous
-interest-terminal search (:mod:`repro.kernels.terminals`) and shared
-per-tree structures (:mod:`repro.kernels.treecache`).
-
-Mode selection
---------------
-``REPRO_KERNELS=fast`` (default) enables the fast paths;
-``REPRO_KERNELS=reference`` forces the original per-entry code.  Tests
-and the wall-clock harness flip modes programmatically with
-:func:`force_kernels`.
+enforced by ``tests/test_kernels_parity.py`` against the per-entry
+reference driver in ``tests/reference_tworespect.py``.  The kernels win
+wall-clock by replacing per-entry Python callbacks with flattened
+CSR-style array traversals (:mod:`repro.kernels.flat2d`), batched
+oracle evaluation (the ``*_many`` methods of
+:class:`repro.rangesearch.cutqueries.CutOracle`), batched SMAWK drivers
+(:mod:`repro.kernels.monge`), a level-synchronous interest-terminal
+search (:mod:`repro.kernels.terminals`) and shared per-tree structures
+(:mod:`repro.kernels.treecache`).
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator, Optional
-
-from repro.errors import InvalidParameterError
-
-__all__ = ["kernels_mode", "use_fast_kernels", "force_kernels"]
-
-_MODES = ("fast", "reference")
-
-_override: ContextVar[Optional[str]] = ContextVar("repro_kernels_mode", default=None)
-
-
-def kernels_mode() -> str:
-    """The active kernel mode: ``"fast"`` or ``"reference"``.
-
-    Resolution order: :func:`force_kernels` override, then the
-    ``REPRO_KERNELS`` environment variable, then ``"fast"``.
-    """
-    forced = _override.get()
-    if forced is not None:
-        return forced
-    mode = os.environ.get("REPRO_KERNELS", "fast").strip().lower() or "fast"
-    if mode not in _MODES:
-        raise InvalidParameterError(
-            f"REPRO_KERNELS must be one of {_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def use_fast_kernels() -> bool:
-    """True when the fast-path kernels should be used."""
-    return kernels_mode() == "fast"
-
-
-@contextmanager
-def force_kernels(mode: str) -> Iterator[None]:
-    """Force the kernel mode for the duration of the block (contextvar
-    scoped, so concurrent callers in other contexts are unaffected)."""
-    if mode not in _MODES:
-        raise InvalidParameterError(f"kernel mode must be one of {_MODES}, got {mode!r}")
-    token = _override.set(mode)
-    try:
-        yield
-    finally:
-        _override.reset(token)

@@ -1,4 +1,4 @@
-"""Batched SMAWK drivers over the cut oracle (fast kernels).
+"""Batched SMAWK drivers over the cut oracle.
 
 The reference SMAWK (:mod:`repro.monge.smawk`) evaluates Monge entries
 one ``lookup(i, j)`` call at a time; with cut-oracle entries each call

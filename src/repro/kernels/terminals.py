@@ -1,9 +1,10 @@
-"""Batched interest-terminal search (fast kernels).
+"""Batched interest-terminal search.
 
-The reference :func:`repro.tworespect.path_pairs.find_interest_terminals`
-runs two centroid-guided searches per tree edge (Claim 4.13), each
-probing the interest predicates one oracle call at a time — by far the
-largest query volume of the 2-respecting pipeline.  The driver here runs
+The per-entry formulation of Claim 4.13 runs two centroid-guided
+searches (:func:`deepest_on_interest_path`) per tree edge, each probing
+the interest predicates one oracle call at a time — by far the largest
+query volume of the 2-respecting pipeline; ``tests/reference_tworespect.py``
+keeps it as the parity reference.  The driver here runs
 *every* edge's searches simultaneously as a masked NumPy state machine
 over :func:`deepest_on_interest_path`'s control flow: probe-free
 navigation steps (ancestor tests, child-toward walks, centroid component
@@ -75,7 +76,8 @@ def find_interest_terminals_batched(
     cd: "CentroidDecomposition",
     ledger: Ledger = NULL_LEDGER,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop-in for ``find_interest_terminals`` with batched probes."""
+    """Per tree edge, the interest terminals (c_e, d_e) of Claim 4.13,
+    every edge's two searches advanced together with batched probes."""
     tree = oracle.tree
     n = tree.n
     c_e = np.full(n, -1, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Shared per-tree structure cache (fast kernels).
+"""Shared per-tree structure cache.
 
 :class:`~repro.primitives.euler.RootedTree` is a frozen value object, so
 derived structures (binary-lifting LCA tables, children lists) are pure

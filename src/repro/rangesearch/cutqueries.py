@@ -5,7 +5,8 @@ Given a graph G and a rooted spanning tree T (possibly binarized — see
 two plane points (post(x), post(y)) and (post(y), post(x)), both with
 weight w, over the postorder numbering of T.  Because every subtree is a
 contiguous postorder interval, subtree-boundary and subtree-to-subtree
-weights become O(1) rectangle queries on a :class:`RangeTree2D`:
+weights become O(1) rectangle queries on a 2-D range tree (held in the
+flattened form :class:`repro.kernels.flat2d.FlatRangeTree2D`):
 
 * ``cost(u)``            = w(T_e),            e = (u, p(u)),
 * ``cross_cost(u, v)``   = w(T_e, T_f)        for disjoint subtrees,
@@ -29,11 +30,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.kernels import use_fast_kernels
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree
-from repro.rangesearch.tree2d import RangeTree2D
 
 __all__ = ["CutOracle", "NaiveCutOracle"]
 
@@ -72,16 +71,11 @@ class CutOracle:
         xs = np.concatenate([px, py])
         ys = np.concatenate([py, px])
         ws = np.concatenate([graph.w, graph.w])
-        if use_fast_kernels():
-            # ledger-parity fast path (see repro.kernels): identical
-            # answers, charges and counters, flat-array traversal.
-            # Imported lazily — kernels.flat2d needs rangesearch.tree1d,
-            # so a module-level import would cycle through this package.
-            from repro.kernels.flat2d import FlatRangeTree2D
+        # Imported lazily — kernels.flat2d needs rangesearch.tree1d, so a
+        # module-level import would cycle through this package.
+        from repro.kernels.flat2d import FlatRangeTree2D
 
-            self.points = FlatRangeTree2D(xs, ys, ws, branching=branching, ledger=ledger)
-        else:
-            self.points = RangeTree2D(xs, ys, ws, branching=branching, ledger=ledger)
+        self.points = FlatRangeTree2D(xs, ys, ws, branching=branching, ledger=ledger)
         self._nb = tree.n
         self._cost_cache = np.full(tree.n, np.nan)
         # Lemma A.1 preprocessing beyond the 2-D build: postorder mapping
@@ -127,28 +121,23 @@ class CutOracle:
         t = self.tree
         su, pu = int(t.start(u)), int(t.post[u])
         sv, pv = int(t.start(v)), int(t.post[v])
-        pts = self.points
-        if self.batched:
-            # both rectangles share x-span [su, pu]: the flat tree walks
-            # the canonical x-decomposition once for the pair (identical
-            # answers, charges and stats — see query_pair_x)
-            v1, v2 = pts.query_pair_x(
-                su, pu, 0, sv - 1, pv + 1, self._nb - 1, ledger=ledger
-            )
-            return v1 + v2
-        return pts.query(su, pu, 0, sv - 1, ledger=ledger) + pts.query(
-            su, pu, pv + 1, self._nb - 1, ledger=ledger
+        # both rectangles share x-span [su, pu]: the flat tree walks the
+        # canonical x-decomposition once for the pair (identical answers,
+        # charges and stats to two query() calls — see query_pair_x)
+        v1, v2 = self.points.query_pair_x(
+            su, pu, 0, sv - 1, pv + 1, self._nb - 1, ledger=ledger
         )
+        return v1 + v2
 
     # ------------------------------------------------------------------
-    # batched evaluation (fast kernels)
+    # batched evaluation
     #
     # Each *_many method answers an array of queries at once via the flat
     # tree's query_many and returns ``(values, works, depths)``: values
     # are bit-identical to the scalar methods, works[i]/depths[i] are
     # exactly what the scalar call for query i would charge its ledger
     # (sums over the sequential sub-queries of that scalar call).  No
-    # ledger is charged here — callers replay the reference charge
+    # ledger is charged here — callers replay the per-entry charge
     # structure from the per-query arrays.  Stats counters update exactly
     # as the equivalent scalar calls would.
     #
@@ -158,11 +147,6 @@ class CutOracle:
     # scalar sequence would hit the cache from the second call on.  The
     # 2-respecting driver always prefills before its batched stages.
     # ------------------------------------------------------------------
-    @property
-    def batched(self) -> bool:
-        """True when the point structure supports batched queries."""
-        return hasattr(self.points, "query_many")
-
     def _spans(self, us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         t = self.tree
         p = t.post[us]
@@ -198,7 +182,7 @@ class CutOracle:
         """Minimum prefilled ``w(T_e)`` and the smallest edge (child
         vertex) attaining it — the 1-respecting minimum.  Requires
         ``prefill_costs``; charges nothing (the caller replays the
-        reference's per-edge hit charges)."""
+        per-edge (1, 1) hit charges of a scalar scan)."""
         c = np.where(np.isnan(self._cost_cache), np.inf, self._cost_cache)
         u = int(np.argmin(c))
         return float(c[u]), u

@@ -88,28 +88,17 @@ def two_respecting_min_cut(
 
     # --- 1-respecting cuts: every tree edge alone -------------------------
     _checkpoint("two_respecting.one_respecting")
-    best: Tuple[float, int, int] = (float("inf"), -1, -1)
     with obs.phase("one-respecting", ledger):
-        if getattr(oracle, "batched", False):
-            # fast kernels: the cache is prefilled, so every branch of the
-            # reference loop is a (1, 1) hit charge and the scan reduces
-            # to an argmin (np.argmin's first-minimum tie-break matches
-            # the ascending `val < best` scan).  One branch charging
-            # (#edges, 1) reproduces the reference frame exactly.
-            val, u = oracle.cost_argmin()
-            best = (val, u, u)
-            with ledger.parallel() as par:
-                with par.branch():
-                    ledger.charge(work=float(rt.n - 1), depth=1.0)
-        else:
-            with ledger.parallel() as par:
-                for u in range(rt.n):
-                    if rt.parent[u] < 0:
-                        continue
-                    with par.branch():
-                        val = oracle.cost(u, ledger=ledger)
-                        if val < best[0]:
-                            best = (val, u, u)
+        # the cache is prefilled, so a per-edge scan would charge one
+        # (1, 1) cache hit per branch and reduces to an argmin
+        # (np.argmin's first-minimum tie-break matches an ascending
+        # `val < best` scan).  One branch charging (#edges, 1) leaves the
+        # parallel frame in the identical state.
+        val, u = oracle.cost_argmin()
+        best: Tuple[float, int, int] = (val, u, u)
+        with ledger.parallel() as par:
+            with par.branch():
+                ledger.charge(work=float(rt.n - 1), depth=1.0)
 
     # --- same-path pairs ---------------------------------------------------
     _checkpoint("two_respecting.single_path")

@@ -32,11 +32,10 @@ import numpy as np
 
 from repro.kernels.monge import matrix_minimum_batched
 from repro.kernels.terminals import find_interest_terminals_batched
-from repro.monge.smawk import matrix_minimum
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.rangesearch.cutqueries import CutOracle
-from repro.trees.centroid import CentroidDecomposition, deepest_on_interest_path
+from repro.trees.centroid import CentroidDecomposition
 from repro.trees.paths import PathDecomposition
 from repro.trees.rootpaths import RootPaths
 
@@ -54,36 +53,10 @@ def find_interest_terminals(
     ledger: Ledger = NULL_LEDGER,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per tree edge e (indexed by child endpoint), the nodes c_e and d_e
-    delimiting e's cross- and down-interest paths (Claim 4.13)."""
-    if getattr(oracle, "batched", False):
-        return find_interest_terminals_batched(oracle, cd, ledger=ledger)
-    tree = oracle.tree
-    n = tree.n
-    c_e = np.full(n, -1, dtype=np.int64)
-    d_e = np.full(n, -1, dtype=np.int64)
-    root = tree.root
-    with ledger.parallel() as par:
-        for u in range(n):
-            if tree.parent[u] < 0:
-                continue
-            with par.branch():
-                c_e[u] = deepest_on_interest_path(
-                    tree,
-                    cd,
-                    top=root,
-                    member=lambda x, _u=u: x == root
-                    or oracle.cross_interested(_u, x, ledger=ledger),
-                    ledger=ledger,
-                )
-                d_e[u] = deepest_on_interest_path(
-                    tree,
-                    cd,
-                    top=u,
-                    member=lambda x, _u=u: x == _u
-                    or oracle.down_interested(_u, x, ledger=ledger),
-                    ledger=ledger,
-                )
-    return c_e, d_e
+    delimiting e's cross- and down-interest paths (Claim 4.13), found by
+    the batched centroid-guided search of :mod:`repro.kernels.terminals`.
+    Needs a prefilled cost cache for exact charges (``prefill_costs``)."""
+    return find_interest_terminals_batched(oracle, cd, ledger=ledger)
 
 
 def collect_interest_tuples(
@@ -156,9 +129,6 @@ def path_pair_minimum(
     dec = decomposition
     best: Tuple[float, int, int] = (float("inf"), -1, -1)
 
-    def lookup(a: int, b: int) -> float:
-        return oracle.cut(a, b, ledger=ledger)
-
     with ledger.parallel() as par:
         for (p, q), (r, s) in pairs.items():
             with par.branch():
@@ -184,12 +154,9 @@ def path_pair_minimum(
                     # queries (RV94 model depth; see DESIGN.md)
                     ell_log = log2ceil(len(rows) + len(cols)) + 1
                     with ledger.batch(depth=ell_log * oracle.query_depth):
-                        if getattr(oracle, "batched", False):
-                            val, a, b = matrix_minimum_batched(
-                                oracle, rows, cols, ledger=ledger
-                            )
-                        else:
-                            val, a, b = matrix_minimum(rows, cols, lookup, ledger=ledger)
+                        val, a, b = matrix_minimum_batched(
+                            oracle, rows, cols, ledger=ledger
+                        )
                     if val < best[0]:
                         best = (val, a, b)
     return best

@@ -2,7 +2,8 @@
 
 For every path p of the decomposition (a descending chain of tree
 edges), the matrix ``M_p[i][j] = cut(e_i, e_j)`` on i < j is partial
-inverse-Monge; :func:`repro.monge.partial.triangle_minimum` finds its
+inverse-Monge; :func:`repro.kernels.monge.triangle_minimum_batched` (the
+batched form of :func:`repro.monge.partial.triangle_minimum`) finds its
 minimum with O(ell log ell) oracle queries.  Paths are processed in
 logically-parallel branches (Lemma 4.6: the per-path work telescopes
 because paths are edge-disjoint; depth is the max over paths).
@@ -13,7 +14,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.kernels.monge import triangle_minimum_batched
-from repro.monge.partial import triangle_minimum
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.rangesearch.cutqueries import CutOracle
@@ -44,17 +44,9 @@ def single_path_minimum(
                 # O(log ell) whose entry inspections cost one cut query
                 ell_log = log2ceil(len(labels)) + 1
                 with ledger.batch(depth=ell_log * (ell_log + oracle.query_depth)):
-                    if getattr(oracle, "batched", False):
-                        val, a, b = triangle_minimum_batched(
-                            oracle, labels, ledger=ledger, inverse=True
-                        )
-                    else:
-                        val, a, b = triangle_minimum(
-                            labels,
-                            lambda x, y: oracle.cut(x, y, ledger=ledger),
-                            ledger=ledger,
-                            inverse=True,
-                        )
+                    val, a, b = triangle_minimum_batched(
+                        oracle, labels, ledger=ledger, inverse=True
+                    )
                 if val < best[0]:
                     best = (val, a, b)
     return best

@@ -242,27 +242,8 @@ class TestMatula:
 
 
 class TestDeprecationShims:
-    def test_module_getattr_warns_and_aliases(self):
-        import repro.baselines as baselines
-
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            sw = baselines.stoer_wagner
-        assert any(issubclass(w.category, DeprecationWarning) for w in rec)
-        assert sw is stoer_wagner
-
-    def test_submodule_import_warns(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.baselines.karger_stein", None)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            mod = importlib.import_module("repro.baselines.karger_stein")
-        assert any(issubclass(w.category, DeprecationWarning) for w in rec)
-        from repro.arena.solvers.karger_stein import karger_stein
-
-        assert mod.karger_stein is karger_stein
+    """The solver shims in repro.baselines are gone; what stays there
+    (the GG18 stand-in and the cost models) imports without warnings."""
 
     def test_gg18_and_models_not_deprecated(self):
         with warnings.catch_warnings():

@@ -2,7 +2,7 @@
 caching, batch fan-out, and weight-only updates.
 
 The headline suite is the parity matrix: across executor backends ×
-kernel modes × tracing, a cold ``CutEngine.min_cut()`` must be
+tracing, a cold ``CutEngine.min_cut()`` must be
 bit-identical — value, side bytes, stats dict, ledger work/depth, and
 per-phase records — to seed-state :func:`repro.minimum_cut` with the
 same inputs.
@@ -22,7 +22,6 @@ from repro.engine import (
 )
 from repro.errors import InvalidParameterError
 from repro.graphs import Graph, random_connected_graph
-from repro.kernels import force_kernels
 from repro.obs import CounterRegistry, counting_scope
 from repro.pram.executor import force_executor
 from repro.pram.ledger import Ledger
@@ -47,10 +46,9 @@ class TestColdParity:
     """Engine one-shot ≡ minimum_cut, bit for bit."""
 
     @pytest.mark.parametrize("backend", ["sync", "thread", "process"])
-    @pytest.mark.parametrize("kernels", ["reference", "fast"])
     @pytest.mark.parametrize("trace", [False, True])
-    def test_matrix(self, graph, backend, kernels, trace):
-        with force_executor(backend), force_kernels(kernels):
+    def test_matrix(self, graph, backend, trace):
+        with force_executor(backend):
             led_direct = Ledger()
             direct = repro.minimum_cut(
                 graph,

@@ -1,12 +1,13 @@
-"""Fast-kernel parity: bit-identical answers AND identical ledger charges.
+"""Kernel parity: bit-identical answers AND identical ledger charges.
 
-The fast paths (``repro.kernels``) are only admissible because they are
-indistinguishable from the reference instrument: same cut values, same
-witnesses, same structural visit counters, and the same ledger work and
-depth — totals and per-phase.  These tests enforce that contract on
-randomized instances, plus the executor-backend semantics (fault
-injection and budget checkpoints must fire under the process backend,
-whose workers cannot see the caller's contextvars).
+The library's kernels (``repro.kernels``) are only admissible because
+they are indistinguishable from the per-entry reference instrument
+(``tests/reference_tworespect.py``): same cut values, same witnesses,
+same structural visit counters, and the same ledger work and depth —
+totals and per-phase.  These tests enforce that contract on randomized
+instances, plus the executor-backend semantics (fault injection and
+budget checkpoints must fire under the process backend, whose workers
+cannot see the caller's contextvars).
 """
 
 from __future__ import annotations
@@ -21,17 +22,22 @@ from repro.errors import (
     InvalidParameterError,
 )
 from repro.graphs import Graph, random_connected_graph
-from repro.kernels import force_kernels, kernels_mode
+from repro.kernels.flat2d import FlatRangeTree2D
 from repro.kernels.treecache import shared_lca
+from repro.obs import CounterRegistry, counting_scope
 from repro.pram import Ledger, executor_backend, force_executor, parallel_map
 from repro.primitives import all_subtree_costs, postorder
-from repro.rangesearch import CutOracle
+from repro.rangesearch import CutOracle, RangeTree2D
 from repro.resilience.budget import Budget, budget_scope
 from repro.resilience.faults import SITE_EXECUTOR_BRANCH, Fault, FaultPlan, inject
 from repro.trees import binarize_parent
 from repro.tworespect.algorithm import two_respecting_min_cut
 
 from tests.conftest import make_graph, make_rooted
+from tests.reference_tworespect import (
+    ReferenceCutOracle,
+    reference_two_respecting_min_cut,
+)
 
 
 def _random_instance(rng, n, extra, wfloat):
@@ -55,24 +61,34 @@ def _random_instance(rng, n, extra, wfloat):
     return g, parent
 
 
-def _run_both(graph, parent, branching, decomposition):
-    out = {}
-    for mode in ("reference", "fast"):
+def _assert_parity(graph, parent, branching, decomposition):
+    """Library vs reference driver: value, witness, side, stats, and the
+    ledger's totals and every per-phase record, all bit-identical."""
+    runs = []
+    for solve in (reference_two_respecting_min_cut, two_respecting_min_cut):
         led = Ledger()
-        with force_kernels(mode):
-            res = two_respecting_min_cut(
-                graph,
-                parent,
-                branching=branching,
-                decomposition=decomposition,
-                ledger=led,
-            )
-        out[mode] = (res, led)
-    return out
+        res = solve(
+            graph,
+            parent,
+            branching=branching,
+            decomposition=decomposition,
+            ledger=led,
+        )
+        runs.append((res, led))
+    (rr, lr), (rf, lf) = runs
+    assert rf.value == rr.value  # bit-identical, not approx
+    assert rf.witness_edges == rr.witness_edges
+    assert np.array_equal(rf.side, rr.side)
+    assert rf.stats == rr.stats
+    assert (lf.work, lf.depth) == (lr.work, lr.depth)
+    assert lf.phases.keys() == lr.phases.keys()
+    for name, rec in lr.phases.items():
+        fr = lf.phases[name]
+        assert (fr.work, fr.depth) == (rec.work, rec.depth), name
 
 
 class TestEndToEndParity:
-    """two_respecting_min_cut: fast vs reference on random instances."""
+    """two_respecting_min_cut vs the per-entry reference driver."""
 
     @pytest.mark.parametrize("branching,decomposition", [(2, "heavy"), (3, "bough"), (5, "heavy")])
     def test_fixed_configs(self, branching, decomposition):
@@ -80,16 +96,10 @@ class TestEndToEndParity:
         for _ in range(4):
             n = int(rng.integers(4, 36))
             g, parent = _random_instance(rng, n, int(rng.integers(0, 3 * n)), True)
-            both = _run_both(g, parent, branching, decomposition)
-            (rr, lr), (rf, lf) = both["reference"], both["fast"]
-            assert rf.value == rr.value  # bit-identical, not approx
-            assert rf.witness_edges == rr.witness_edges
-            assert np.array_equal(rf.side, rr.side)
-            assert rf.stats == rr.stats
-            assert (lf.work, lf.depth) == (lr.work, lr.depth)
+            _assert_parity(g, parent, branching, decomposition)
 
     def test_property_fuzz(self):
-        """Randomized property check incl. per-phase ledger records."""
+        """Randomized instances over weights, branching and decomposition."""
         rng = np.random.default_rng(99)
         for _ in range(10):
             n = int(rng.integers(2, 40))
@@ -98,44 +108,50 @@ class TestEndToEndParity:
             b = int(rng.choice([2, 3, 5]))
             dec = str(rng.choice(["heavy", "bough"]))
             g, parent = _random_instance(rng, n, extra, wfloat)
-            both = _run_both(g, parent, b, dec)
-            (rr, lr), (rf, lf) = both["reference"], both["fast"]
-            assert rf.value == rr.value
-            assert rf.stats == rr.stats
-            assert (lf.work, lf.depth) == (lr.work, lr.depth)
-            for name, rec in lr.phases.items():
-                fr = lf.phases[name]
-                assert (fr.work, fr.depth) == (rec.work, rec.depth), name
+            _assert_parity(g, parent, b, dec)
 
-    def test_env_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert kernels_mode() == "fast"
-        monkeypatch.setenv("REPRO_KERNELS", "bogus")
-        with pytest.raises(InvalidParameterError):
-            kernels_mode()
+    def test_long_path_batched_prefetch(self):
+        """A 300-edge tree path gives SMAWK windows larger than the
+        scalar cutoff, so entries are prefetched through cut_many —
+        a path the small instances above never reach."""
+        rng = np.random.default_rng(5)
+        n = 300
+        parent = np.arange(-1, n - 1, dtype=np.int64)
+        extra = rng.integers(0, n, size=(2 * n, 2))
+        extra = extra[extra[:, 0] != extra[:, 1]]
+        g = Graph(
+            n,
+            np.concatenate([np.arange(1, n), extra[:, 0]]),
+            np.concatenate([np.arange(n - 1), extra[:, 1]]),
+            rng.uniform(0.5, 4, n - 1 + extra.shape[0]),
+        )
+        reg = CounterRegistry()
+        with counting_scope(reg):
+            _assert_parity(g, parent, 2, "heavy")
+        assert reg.snapshot().get("kernels.smawk_prefetches", 0.0) > 0
 
 
 class TestOracleParity:
-    """Batched oracle answers and charges vs scalar reference calls."""
+    """CutOracle answers and charges vs the per-entry reference oracle."""
 
     def _oracles(self, seed=3, n=40, m=300, branching=3):
         g = make_graph(n, m, seed)
         pair = {}
-        for mode in ("reference", "fast"):
+        for mode, cls in (("reference", ReferenceCutOracle), ("fast", CutOracle)):
             # fresh tree per mode: the LCA memo is per tree *instance*,
             # so sharing one tree would make the second build cheaper
             _, rt = make_rooted(g)
             led = Ledger()
-            with force_kernels(mode):
-                o = CutOracle(g, rt, branching=branching, ledger=led)
-                o.prefill_costs(ledger=led)
+            o = cls(g, rt, branching=branching, ledger=led)
+            o.prefill_costs(ledger=led)
             pair[mode] = (o, led)
         return pair, rt
 
     def test_cut_values_and_charges(self):
         pair, rt = self._oracles()
         (oref, lref), (ofast, lfast) = pair["reference"], pair["fast"]
-        assert ofast.batched and not oref.batched
+        assert isinstance(ofast.points, FlatRangeTree2D)
+        assert isinstance(oref.points, RangeTree2D)
         assert lfast.work == lref.work and lfast.depth == lref.depth
         rng = np.random.default_rng(0)
         for _ in range(60):

@@ -5,8 +5,7 @@ zero-leak contract.
 The pivotal invariants:
 
 * the ``shm`` backend is **bit-identical** to sync — cut values, stats,
-  and ledger work/depth charges — under reference and fast kernels,
-  traced and untraced;
+  and ledger work/depth charges — traced and untraced;
 * no run leaves a live segment behind: not after a clean shutdown, not
   after an injected segment loss, not after a worker dies mid-dispatch.
 """
@@ -20,7 +19,6 @@ import pytest
 from repro.engine import CutEngine
 from repro.engine.artifacts import PackedForest, TreeIndex
 from repro.graphs import random_connected_graph
-from repro.kernels import force_kernels
 from repro.kernels.flat2d import FlatRangeTree2D
 from repro.pram import Ledger, force_executor, parallel_map, prewarm_executor
 from repro.pram.executor import shutdown_shared_pools
@@ -244,12 +242,10 @@ class TestExecutorParity:
             got = parallel_map(_scale, items, 4, context=ctx, context_key="scale3")
         assert got == want
 
-    @pytest.mark.parametrize("mode", ["reference", "fast"])
     @pytest.mark.parametrize("trace", [False, True])
-    def test_search_parity_vs_sync(self, mode, trace):
+    def test_search_parity_vs_sync(self, trace):
         """The gate invariant: shm produces bit-identical values, stats,
-        and ledger charges to sync, under both kernel sets, traced and
-        untraced."""
+        and ledger charges to sync, traced and untraced."""
         from repro import obs
 
         g = _make_graph()
@@ -258,19 +254,19 @@ class TestExecutorParity:
         seeds = [0, 1, 2, 3]
 
         def run(backend):
-            with force_kernels(mode), force_executor(backend):
+            with force_executor(backend):
                 if trace:
                     tracer = obs.Tracer(ledger=Ledger())
                     with tracer.activate():
                         out = parallel_map(
                             _search_seed, seeds, 4,
-                            context=ctx, context_key=f"parity-{mode}",
+                            context=ctx, context_key="parity",
                         )
                     tracer.finish()
                     return out
                 return parallel_map(
                     _search_seed, seeds, 4,
-                    context=ctx, context_key=f"parity-{mode}",
+                    context=ctx, context_key="parity",
                 )
 
         assert run("shm") == run("sync")
