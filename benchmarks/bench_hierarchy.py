@@ -10,9 +10,12 @@ the cumulative certificates on heavy-weight graphs; whether a unique
 dense->window->sparse transition exists; and the certificate hierarchy's
 total weight (Claim 3.19's O(m log n) budget).
 
-Shape claims asserted: layer cuts are non-increasing; the located layer
-rescales to within 4x of the true min cut; certificate weight stays
-within the per-edge budget.
+Shape claims asserted: layer cuts are non-increasing and bounded by
+delta, the minimum weighted degree of the densest cumulative
+certificate (the bound behind the below-window exit of
+``approximate_minimum_cut``, reported with whether that exit fires);
+the located layer rescales to within 4x of the true min cut;
+certificate weight stays within the per-edge budget.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ def test_hierarchy_layers(once):
             cert_weight=sum(c.total_copies for c in certs.certificates),
             budget=PARAMS.cert_edge_budget(g.n) * g.m,
             depth=h.depth,
+            delta=float(certs.cumulative(0).weighted_degrees.min()),
         )
     )
 
@@ -100,9 +104,15 @@ def _report():
         f"certificate copies = {_summary['cert_weight']} "
         f"(budget {int(_summary['budget'])})"
     )
-    # monotone decrease of the certificate layer cuts
+    delta = _summary["delta"]
+    print(
+        f"layer-0 min weighted degree delta = {delta:.0f}; below-window exit "
+        f"{'fires' if delta < lo else 'does not fire'} (delta vs lo = {lo:.1f})"
+    )
+    # monotone decrease of the certificate layer cuts, all bounded by delta
     cert_cuts = [r[2] for r in _rows]
     assert all(cert_cuts[i + 1] <= cert_cuts[i] + 1e-9 for i in range(len(cert_cuts) - 1))
+    assert all(c <= delta + 1e-9 for c in cert_cuts)
     # O(1)-approximation through the located layer
     assert 1 / 4 <= _summary["estimate"] / _summary["lam"] <= 4
     # Claim 3.19's participation budget bounds the certificate volume

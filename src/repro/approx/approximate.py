@@ -6,7 +6,9 @@ Pipeline (Section 3):
 2. build the certificate hierarchy (Algorithm 3.17);
 3. compute the min-cut of every cumulative certificate — O(log n)
    instances of the exact algorithm on O(n polylog n)-size graphs,
-   solved in parallel (Claim 3.20);
+   solved in parallel (Claim 3.20).  When the minimum weighted degree
+   of the densest certificate is already below the separation window,
+   every layer is, and only layer 0 is solved;
 4. locate the skeleton layer s (Claims 3.6-3.13) and rescale:
    lambda ~ mincut(G_s^trunc) * 2^s.
 
@@ -28,6 +30,7 @@ from repro import obs
 from repro.approx.layers import layer_min_cuts, locate_skeleton_layer
 from repro.errors import GraphFormatError
 from repro.graphs.graph import Graph
+from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.results import ApproxResult
 from repro.sparsify.certhierarchy import build_certificate_hierarchy
@@ -155,7 +158,8 @@ def _approximate_impl(
     k, labels = graph.connected_components()
     if k > 1:
         return ApproxResult(
-            estimate=0.0, low=0.0, high=0.0, skeleton_layer=0, layer_cuts={}
+            estimate=0.0, low=0.0, high=0.0, skeleton_layer=0, layer_cuts={},
+            stats={"layers_solved": 0.0},
         )
     rng = rng if rng is not None else np.random.default_rng()
     solver = solver if solver is not None else _default_solver(ledger)
@@ -190,6 +194,7 @@ def _approximate_impl(
         pick = min(runs, key=lambda r: abs(r.estimate - med))
         stats = dict(pick.stats)
         stats["repeats"] = float(repeats)
+        stats["layers_solved"] = sum(r.stats["layers_solved"] for r in runs)
         stats["estimate_spread"] = float(estimates[-1] - estimates[0])
         return ApproxResult(
             estimate=med,
@@ -204,17 +209,34 @@ def _approximate_impl(
         hierarchy = build_truncated_hierarchy(graph, params=params, rng=rng, ledger=ledger)
     with obs.phase("certificates", ledger):
         certs = build_certificate_hierarchy(hierarchy, ledger=ledger)
+    solves = 0
+
+    def counted(g: Graph) -> float:
+        nonlocal solves
+        solves += 1
+        return solver(g)
+
     with obs.phase("layer-cuts", ledger):
-        _, hi = params.window(graph.n)
-        cuts = layer_min_cuts(
-            certs, solver, ledger=ledger, stop_below=params.scale
-            * params.below_low * params.log_n(graph.n)
-        )
+        # Below-window exit.  Every cumulative certificate is an
+        # edge-weight-wise subgraph of layer 0's, so every layer's cut is
+        # at most delta, layer 0's minimum weighted degree (one reduction).
+        # With delta below the window every layer is, and the located
+        # layer is 0 whatever layers 1..d-1 hold: solve layer 0 alone.
+        lo, _ = params.window(graph.n)
+        g0 = certs.cumulative(0)
+        ledger.charge(work=g0.m, depth=log2ceil(g0.n))
+        if g0.weighted_degrees.min() < lo:
+            cuts = {0: float(counted(g0)) if g0.is_connected() else 0.0}
+        else:
+            cuts = layer_min_cuts(
+                certs, counted, ledger=ledger, stop_below=params.scale
+                * params.below_low * params.log_n(graph.n)
+            )
     s = locate_skeleton_layer(cuts, graph.n, params)
     estimate = float(cuts.get(s, 0.0)) * (2.0 ** s)
     reg = obs.counters()
     if reg.enabled:
-        reg.add("approx.layers_cut", float(len(cuts)))
+        reg.add("approx.layers_cut", float(solves))
     return ApproxResult(
         estimate=estimate,
         low=estimate * (1.0 - epsilon),
@@ -226,5 +248,6 @@ def _approximate_impl(
             "total_certificate_weight": float(
                 sum(int(c.total_copies) for c in certs.certificates)
             ),
+            "layers_solved": float(solves),
         },
     )

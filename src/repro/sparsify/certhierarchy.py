@@ -17,6 +17,7 @@ Total work is O(m log n): each edge participates in at most
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -45,6 +46,15 @@ class CertificateHierarchy:
     forests_per_layer: List[int]
 
     def cumulative(self, i: int) -> Graph:
+        return self._densest if i == 0 else self._union(i)
+
+    @cached_property
+    def _densest(self) -> Graph:
+        # built once: the approximation reads layer 0's degrees before
+        # its layer scan, which may then solve layer 0 too
+        return self._union(0)
+
+    def _union(self, i: int) -> Graph:
         counts = np.zeros_like(self.certificates[0].counts)
         for j in range(i, len(self.certificates)):
             counts = counts + self.certificates[j].counts
