@@ -5,20 +5,20 @@ Runs the E5 (2-respecting work optimality / eps tradeoff) and E8
 (density crossover) sweeps once each and writes ``BENCH_wallclock.json``
 at the repo root with every configuration's cut value, ledger work and
 depth, wall seconds and per-stage wall timings.  It also fans the E8
-sweep out under every executor backend (sync / thread / process / shm,
-:mod:`repro.pram.executor`) with pre-warmed pools and a broadcast
+sweep out under both executor backends (sync / process,
+:mod:`repro.pram.executor`) with a pre-warmed pool and a broadcast
 context, records each backend's dispatch overhead counter, and writes a
 ``brent_bound`` section comparing achieved T_p against the ledger
 prediction T_p = W/p + D (converted to seconds via the sync run).
-``--min-shm-speedup X`` gates
-the shm-vs-sync speedup, but only on hosts granting at least
-``--workers`` effective CPUs — quota-capped containers record the
-measurement without failing.
+``--min-process-speedup X`` gates the process-vs-sync speedup, but only
+on hosts granting at least ``--workers`` effective CPUs
+(:func:`repro.pram.executor.effective_cpus`) — quota-capped containers
+record the measurement without failing.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_wallclock.py [--small]
-        [--max-trace-overhead R] [--min-shm-speedup X] [--workers N]
+        [--max-trace-overhead R] [--min-process-speedup X] [--workers N]
         [--output PATH] [--skip-executors]
 
 ``--small`` shrinks every sweep for CI smoke runs.  Parity failures
@@ -68,6 +68,7 @@ import numpy as np  # noqa: E402
 from repro.core import branching_for_epsilon  # noqa: E402
 from repro.graphs import random_connected_graph  # noqa: E402
 from repro.pram import Ledger, force_executor, parallel_map  # noqa: E402
+from repro.pram.executor import effective_cpus  # noqa: E402
 from repro.primitives import root_tree, spanning_forest_graph  # noqa: E402
 from repro.tworespect import two_respecting_min_cut  # noqa: E402
 
@@ -140,9 +141,8 @@ def _solve_indexed(context, idx):
     """Executor-backend worker: solve prebuilt instance ``idx``.
 
     The whole instance list travels as a broadcast context — pickled
-    once into the pool initializer on the process backend, published
-    once into shared memory on the shm backend — so each task carries
-    only an integer.
+    once into the pool initializer on the process backend — so each
+    task carries only an integer.
     """
     g, parent, branching = context[idx]
     led = Ledger()
@@ -150,38 +150,18 @@ def _solve_indexed(context, idx):
     return res.value, led.work, led.depth
 
 
-def _effective_cpus() -> float:
-    """CPUs this process can actually burn: affinity mask capped by the
-    cgroup cpu quota (containers routinely pin this near 1 even when
-    ``os.cpu_count()`` reports the host's cores)."""
-    import os
-
-    try:
-        avail = float(len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        avail = float(os.cpu_count() or 1)
-    try:
-        parts = Path("/sys/fs/cgroup/cpu.max").read_text().split()
-        if parts and parts[0] != "max":
-            avail = min(avail, float(parts[0]) / float(parts[1]))
-    except (OSError, IndexError, ValueError, ZeroDivisionError):
-        pass
-    return max(1.0, avail)
-
-
 def _time_executors(configs, workers: int = 4,
-                    backends=("sync", "thread", "process", "shm"), reps: int = 3):
-    """Time the sweep fan-out under every executor backend.
+                    backends=("sync", "process"), reps: int = 3):
+    """Time the sweep fan-out under each executor backend.
 
     Instances are prebuilt in the parent and broadcast as a
     ``parallel_map`` context; pools are pre-warmed so the timed region
     measures dispatch + compute, not worker spawn.  ``wall_s`` is the
-    best of ``reps`` (steady state: publication/initializer costs are
-    amortized by context reuse); ``cold_wall_s`` keeps the first rep.
+    best of ``reps`` (steady state: initializer costs are amortized by
+    context reuse); ``cold_wall_s`` keeps the first rep.
     """
     from repro.obs.counters import CounterRegistry, counting_scope
     from repro.pram.executor import prewarm_executor
-    from repro.shm import shm_available
 
     instances = []
     for _, _, n, m, seed, b in configs:
@@ -194,9 +174,6 @@ def _time_executors(configs, workers: int = 4,
     out = {"workers": workers, "reps": reps}
     base_values = None
     for backend in backends:
-        if backend == "shm" and not shm_available():
-            out[backend] = {"skipped": "shared memory unavailable"}
-            continue
         reg = CounterRegistry()
         walls = []
         with counting_scope(reg), force_executor(backend):
@@ -221,24 +198,14 @@ def _time_executors(configs, workers: int = 4,
                 counts.get("executor.dispatch_overhead_s", 0.0), 4
             ),
         }
-        if backend == "shm":
-            out[backend]["segments_published"] = counts.get(
-                "shm.segments_published", 0.0
-            )
-            out[backend]["worker_attaches"] = counts.get(
-                "shm.worker_attaches", 0.0
-            )
     # fork-join charge of the sweep (work sums, depth maxes) for Brent
     work = float(sum(w for _, w, _ in results))
     depth = float(max(d for _, _, d in results))
     out["ledger"] = {"work": work, "depth": depth}
-    for a, b, key in (("thread", "process", "process_speedup_vs_thread"),
-                      ("sync", "shm", "shm_speedup_vs_sync"),
-                      ("sync", "process", "process_speedup_vs_sync")):
-        wa = out.get(a, {}).get("wall_s")
-        wb = out.get(b, {}).get("wall_s")
-        if wa and wb:
-            out[key] = round(wa / wb, 3)
+    wa = out.get("sync", {}).get("wall_s")
+    wb = out.get("process", {}).get("wall_s")
+    if wa and wb:
+        out["process_speedup_vs_sync"] = round(wa / wb, 3)
     return out
 
 
@@ -259,18 +226,17 @@ def _brent_bound(executors: dict, workers: int) -> dict:
     work, depth = ledger.get("work"), ledger.get("depth")
     if not sync_wall or not work:
         return {"skipped": "no sync baseline"}
-    cpus = _effective_cpus()
+    cpus = effective_cpus()
     p = min(float(workers), cpus)
     s_per_unit = sync_wall / work
     predicted = s_per_unit * (work / p + depth)
     achieved = {}
-    for backend in ("thread", "process", "shm"):
-        wall = executors.get(backend, {}).get("wall_s")
-        if wall:
-            achieved[backend] = {
-                "wall_s": wall,
-                "ratio_to_bound": round(wall / predicted, 3),
-            }
+    wall = executors.get("process", {}).get("wall_s")
+    if wall:
+        achieved["process"] = {
+            "wall_s": wall,
+            "ratio_to_bound": round(wall / predicted, 3),
+        }
     return {
         "work": work,
         "depth": depth,
@@ -478,8 +444,8 @@ def main() -> int:
                     help="skip the executor-backend dispatch timing")
     ap.add_argument("--workers", type=int, default=4,
                     help="worker count for the executor-backend timing")
-    ap.add_argument("--min-shm-speedup", type=float, default=None, metavar="X",
-                    help="fail if shm speedup vs sync is below X — enforced "
+    ap.add_argument("--min-process-speedup", type=float, default=None, metavar="X",
+                    help="fail if process speedup vs sync is below X — enforced "
                          "only when the host grants >= --workers effective "
                          "CPUs (quota-capped containers record, not gate)")
     ap.add_argument("--batch", type=int, nargs="?", const=8, default=0, metavar="N",
@@ -546,29 +512,26 @@ def main() -> int:
 
     executors = None
     if not args.skip_executors:
-        # fan the E8 sweep out under every executor backend
-        # (sync is the T_1 baseline; branches are pure-Python bound, so
-        # only the process/shm pools can beat a single core, and only
-        # shm does it without re-pickling the instances per dispatch)
+        # fan the E8 sweep out under both executor backends (sync is
+        # the T_1 baseline; branches are pure-Python bound, so only the
+        # process pool can beat a single core)
         exec_configs = [c for c in configs if c[0] == "E8_density"]
         executors = _time_executors(exec_configs, workers=args.workers)
         report["executor_backends"] = executors
         report["brent_bound"] = _brent_bound(executors, args.workers)
-        for backend in ("sync", "thread", "process", "shm"):
-            entry = executors.get(backend, {})
-            if "wall_s" in entry:
-                print(f"executor {backend}: {entry['wall_s']:.3f}s "
-                      f"(dispatch {entry['dispatch_overhead_s']:.3f}s)")
-            elif "skipped" in entry:
-                print(f"executor {backend}: skipped ({entry['skipped']})")
+        for backend in ("sync", "process"):
+            entry = executors[backend]
+            print(f"executor {backend}: {entry['wall_s']:.3f}s "
+                  f"(dispatch {entry['dispatch_overhead_s']:.3f}s)")
         bb = report["brent_bound"]
         if "predicted_tp_s" in bb:
             print(f"brent bound: T_{args.workers} >= {bb['predicted_tp_s']:.3f}s "
                   f"(W={bb['work']:.0f}, D={bb['depth']:.0f}, "
                   f"p=min(workers, effective cpus {bb['effective_cpus']})="
                   f"{bb['p']})")
-        if "shm_speedup_vs_sync" in executors:
-            print(f"shm speedup vs sync: {executors['shm_speedup_vs_sync']:.2f}x")
+        if "process_speedup_vs_sync" in executors:
+            print("process speedup vs sync: "
+                  f"{executors['process_speedup_vs_sync']:.2f}x")
         from repro.pram.executor import shutdown_shared_pools
 
         shutdown_shared_pools()
@@ -626,24 +589,22 @@ def main() -> int:
               f"{engine_updates['ratio_work']}x < {args.min_update_speedup}x",
               file=sys.stderr)
         return 1
-    if args.min_shm_speedup is not None and executors is not None:
-        if any("parity" in executors.get(b, {})
-               and not executors[b]["parity"]
-               for b in ("thread", "process", "shm")):
+    if args.min_process_speedup is not None and executors is not None:
+        if not executors["process"]["parity"]:
             print("FAIL: executor backend values diverge from sync",
                   file=sys.stderr)
             return 1
-        speedup = executors.get("shm_speedup_vs_sync")
-        cpus = _effective_cpus()
+        speedup = executors.get("process_speedup_vs_sync")
+        cpus = effective_cpus()
         if speedup is None:
-            print("NOTE: shm backend unavailable; speedup gate skipped")
+            print("NOTE: no process timing; speedup gate skipped")
         elif cpus < args.workers:
             print(f"NOTE: host grants {cpus:.1f} effective CPUs "
-                  f"(< {args.workers} workers); measured shm speedup "
+                  f"(< {args.workers} workers); measured process speedup "
                   f"{speedup}x recorded, gate not enforced")
-        elif speedup < args.min_shm_speedup:
-            print(f"FAIL: shm speedup vs sync {speedup}x "
-                  f"< {args.min_shm_speedup}x at {cpus:.1f} effective CPUs",
+        elif speedup < args.min_process_speedup:
+            print(f"FAIL: process speedup vs sync {speedup}x "
+                  f"< {args.min_process_speedup}x at {cpus:.1f} effective CPUs",
                   file=sys.stderr)
             return 1
     return 0

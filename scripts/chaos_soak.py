@@ -115,14 +115,7 @@ from repro.serve import (  # noqa: E402
     well_formed,
 )
 
-def _soak_backends():
-    from repro.shm import shm_available
-
-    base = ("process", "thread", "sync")
-    return (("shm",) + base) if shm_available() else base
-
-
-BACKENDS = _soak_backends()
+BACKENDS = ("process", "sync")
 
 #: fault sites for driver-mode plans: the ``serve.*`` and
 #: ``wal.*``/``snapshot.*`` sites are only polled inside the daemon's
@@ -865,7 +858,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--runs", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--backend", choices=("auto",) + BACKENDS, default="auto",
-                    help="'auto' round-robins process/thread/sync")
+                    help="'auto' round-robins process/sync")
     ap.add_argument("--time-cap", type=float, default=60.0, metavar="SECONDS",
                     help="per-trial wall-clock cap; exceeding it is a hang")
     ap.add_argument("--service", action="store_true",

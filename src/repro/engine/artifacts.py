@@ -70,40 +70,6 @@ def _rng_nbytes(state: Optional[dict]) -> int:
     return 0 if state is None else 128
 
 
-class _ShmArtifact:
-    """Shared-memory publication for fingerprinted artifacts.
-
-    ``to_shm`` publishes the artifact into the process-wide
-    :class:`repro.shm.arena.ShmArena` under a key derived from the
-    artifact's own fingerprint, so republishing the same artifact (same
-    fingerprint chain) reuses the live segment instead of re-encoding.
-    The returned :class:`repro.shm.ShmRef` is the hand-off ticket:
-    cheaply picklable, attachable from any worker via ``from_shm``.
-    The publisher owns one reference and must balance each ``to_shm``
-    with :func:`repro.shm.release_object` when done.
-    """
-
-    fingerprint: str  # provided by each dataclass
-
-    def to_shm(self):
-        from repro.shm import publish_object
-
-        key = combine_fingerprint("artifact", type(self).__name__, self.fingerprint)
-        return publish_object(key, self)
-
-    @classmethod
-    def from_shm(cls, ref):
-        from repro.shm import fetch_object
-
-        obj, _fresh = fetch_object(ref)
-        if not isinstance(obj, cls):
-            raise TypeError(
-                f"segment {ref.segment!r} holds {type(obj).__name__}, "
-                f"expected {cls.__name__}"
-            )
-        return obj
-
-
 @dataclass(frozen=True)
 class ValidationArtifact:
     """Outcome of the ``validate`` stage.
@@ -142,7 +108,7 @@ class ApproxArtifact:
 
 
 @dataclass(frozen=True)
-class PackedForest(_ShmArtifact):
+class PackedForest:
     """Output of the ``sparsify`` + ``pack`` stages: the greedy tree
     packing of the skeleton, with the skeleton's summary statistics.
 
@@ -166,7 +132,7 @@ class PackedForest(_ShmArtifact):
 
 
 @dataclass(frozen=True)
-class TreeIndex(_ShmArtifact):
+class TreeIndex:
     """Output of the ``index`` stage: the materialized candidate parent
     arrays the 2-respecting search queries, plus the packing statistics
     that flow into every result's ``stats``."""

@@ -120,8 +120,7 @@ def _batch_search(context, seed) -> tuple:
     Module-level so the process backend can pickle it by reference.
     ``context`` is the per-batch broadcast ``(graph, packing, max_trees,
     branching, decomposition)``, crossing the pool boundary once per
-    dispatch — installed by a pool initializer on the process backend,
-    attached as a zero-copy shared-memory view on the shm backend —
+    dispatch — installed by a pool initializer on the process backend —
     while each task carries only its seed.  The returned candidate is a
     payload dict (``CutResult.stats`` is a MappingProxyType, which
     pickle refuses) plus the branch's private ledger for the caller to
@@ -526,9 +525,9 @@ class CutEngine:
         forest = self._forest(ledger)
         branching = branching_for_epsilon(self._graph.n, self.params.epsilon)
         # the immutable per-batch payload travels as a broadcast context
-        # (pickled once / published once into shared memory), keyed by
-        # the forest fingerprint so repeated batches on the same engine
-        # reuse the live publication; tasks are bare seeds
+        # (pickled once per round), keyed by the forest fingerprint so
+        # repeated batches on the same engine reuse the context-bound
+        # process pool; tasks are bare seeds
         context = (
             self._graph,
             forest.packing,
@@ -537,14 +536,17 @@ class CutEngine:
             self.params.decomposition,
         )
         # keyed by _fp_current as well: a delta mutation changes the
-        # broadcast graph, so the live publication must not be reused
+        # broadcast graph, so the context-bound pool must not be reused
         context_key = combine_fingerprint(
             "batch-ctx", self._fp_forest, self._fp_current, self._max_trees,
             branching, self.params.decomposition,
         )
+        # one retry round: a broken process pool fails every branch of
+        # its round, and under a supervisor the retry runs on ``sync``
         with obs.phase("batch-search", ledger):
             outcomes = parallel_map(
-                _batch_search, seeds, context=context, context_key=context_key
+                _batch_search, seeds, retries=1,
+                context=context, context_key=context_key,
             )
         ledger.absorb_parallel(*(led for _, _, led in outcomes))
         results = []

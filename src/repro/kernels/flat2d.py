@@ -293,18 +293,16 @@ class FlatRangeTree2D:
         self.aux_stats = RangeQueryStats()
 
     # ------------------------------------------------------------------
-    # pickling / shared-memory transport
+    # pickling (process-pool transport)
     # ------------------------------------------------------------------
     # The Python-list mirrors (_xs_list & co.) are pure caches: exact
     # float images of the numpy arrays, kept only because bisect and the
     # scalar fold run faster over lists.  They are dropped from the
-    # pickled state — they double the payload and a shared-memory worker
-    # must not materialise per-process list copies of data it attached
-    # zero-copy — and lazily rebuilt on the first scalar query
+    # pickled state — they double the payload a process worker has to
+    # unpickle — and lazily rebuilt on the first scalar query
     # (float64 -> float is exact, so a rebuilt mirror is bit-identical).
-    # With the repro.shm codec, unpickling is the buffer-backed
-    # construction path: every ndarray slot comes back as a read-only
-    # view into the published segment and no sort or level build reruns.
+    # Unpickling restores every ndarray slot as is, so no sort or level
+    # build reruns in the worker.
     _MIRROR_SLOTS = (
         "_xs_list",
         "_leaf_ys_list",

@@ -15,11 +15,11 @@ free because the reference call sites never re-build either).
 
 Cross-process note: the memo rides on the instance, and
 :class:`RootedTree` deliberately strips ``_repro_*`` memo attributes
-from its pickled state — a tree travelling to a pool worker (pickled or
-attached zero-copy via :mod:`repro.shm`) arrives lean, and the worker
-builds its own LCA table on first use.  Because the shm codec caches
-the decoded context per worker process, that rebuild happens once per
-worker, not once per shard.
+from its pickled state — a tree travelling to a process-pool worker
+arrives lean, and the worker builds its own LCA table on first use.
+Because a context-bound pool installs the unpickled broadcast context
+once per worker process, that rebuild happens once per worker, not
+once per task.
 """
 
 from __future__ import annotations

@@ -4,51 +4,33 @@ The accounting in :mod:`repro.pram.ledger` is the primary experimental
 instrument (see DESIGN.md); this module exists so examples and the
 wall-clock harness can also run independent coarse-grained units (trees
 in a packing, layers of a hierarchy, sweep configurations) on a real
-executor.  Four backends are available, selected by the
+executor.  Two backends are available, selected by the
 ``REPRO_EXECUTOR`` environment variable or :func:`force_executor`:
 
-``thread`` (default)
-    A lazily-created module-level :class:`ThreadPoolExecutor`, reused
-    across calls.  Because CPython holds the GIL during pure-Python
-    execution, wall-clock speedup is limited to whatever time the
-    branches spend in numpy kernels that release the GIL — which is
-    precisely why the repro's measured quantities are work and depth
-    rather than wall-clock (repro band 2/5).
+``sync`` (default)
+    An in-line sequential loop: deterministic, no start-up cost, and
+    each branch runs in a copy of the caller's :mod:`contextvars`
+    context, so fault plans and budgets armed in the caller are visible
+    inside branches.  Cooperative timeouts need concurrency and are
+    ignored.
 ``process``
     A lazily-created module-level :class:`ProcessPoolExecutor` for
-    coarse branches that are pure-Python bound.  Worker processes do
-    not see the caller's :mod:`contextvars`, so fault plans and budget
-    checkpoints are polled in the *parent* before each branch is
-    dispatched — injected executor-branch faults and budget blowouts
-    fire with the same per-item failure semantics as the thread
-    backend.  Branch callables must be picklable; a call whose ``fn``
-    cannot be pickled (lambdas, closures) transparently falls back to
-    the thread backend.  An immutable broadcast ``context`` is pickled
-    **once** and installed into each worker by a pool initializer, not
-    re-pickled per item (the root cause of the pre-shm process-backend
-    regression).
-``shm``
-    The zero-copy shared-memory backend: the broadcast ``context`` is
-    published once into a :mod:`repro.shm` segment (large ndarrays as
-    raw blocks, everything else as a small pickle) and each task
-    carries only a :class:`~repro.shm.codec.ShmRef` descriptor plus the
-    item.  Persistent pool workers attach the segment once, rebuild
-    read-only zero-copy views, and serve every subsequent item from
-    their attach cache — no graph bytes ever cross the pipe.  Published
-    segments are cached by fingerprint across calls (bounded LRU) and
-    all released by :func:`shutdown_shared_pools`.  Requires a working
-    POSIX shared-memory mount; otherwise routes to ``process``.
-``sync``
-    An in-line sequential loop (deterministic debugging).  Cooperative
-    timeouts need concurrency and are ignored.
+    coarse branches that are pure-Python bound (CPython's GIL keeps a
+    thread pool from beating the in-line loop on them).  Worker
+    processes do not see the caller's :mod:`contextvars`, so fault
+    plans and budget checkpoints are polled in the *parent* before each
+    branch is dispatched — injected executor-branch faults and budget
+    blowouts fire with the same per-item failure semantics as on
+    ``sync``.  Branch callables must be picklable; a call whose ``fn``
+    cannot be pickled (lambdas, closures) runs on ``sync`` instead.  An
+    immutable broadcast ``context`` is pickled **once** and installed
+    into each worker by a pool initializer, not re-pickled per item.
 
 Robustness: one failed branch must not destroy the whole pool.
 :func:`parallel_map` supports per-item retries, per-item timeouts, and
 error aggregation — with ``on_error="aggregate"`` every branch runs to
 completion and the failures are raised together as one
-:class:`repro.errors.BranchErrors`.  Worker threads run in a copy of the
-caller's :mod:`contextvars` context, so fault plans and budgets armed in
-the caller are visible inside branches.  Shared pools are reserved for
+:class:`repro.errors.BranchErrors`.  Shared pools are reserved for
 untimed calls: a call with a ``timeout`` gets a private pool, because a
 timed-out branch keeps its worker occupied and must not poison the
 shared pool for later callers.  A broken shared process pool (a worker
@@ -57,27 +39,23 @@ died) is evicted so the next attempt starts fresh, and any
 included) evicts the pool on the way out — an interrupted run cannot
 leak a poisoned pool into the next call.
 
-On the shm backend a lost segment
-(:class:`~repro.shm.arena.ShmSegmentLost`, also injectable via the
-``shm.segment_lost`` fault site) fails the round's branches, drops the
-cached publication so a retry republishes fresh, and — being a
-``BrokenExecutor`` — registers as a substrate failure that degrades
-``shm → process`` under a supervisor.
+Pools default to :func:`effective_cpus` workers: the affinity mask
+capped by the cgroup CPU quota, so a quota-capped container does not
+oversubscribe the CPUs it is granted.
 
 When a :class:`repro.resilience.supervisor.Supervisor` is armed
 (:func:`~repro.resilience.supervisor.supervised_scope`), every dispatch
 round is routed through its health model: a backend with recent broken
-pools or timeouts is skipped down the ``shm → process → thread → sync``
-degradation chain (with exponential backoff and recovery probes), and
-each downgrade is recorded as a typed
-:class:`~repro.results.DegradationEvent` plus ``supervisor.*`` counters.
+pools or timeouts is skipped down the ``process → sync`` degradation
+chain (with exponential backoff and recovery probes), and each
+downgrade is recorded as a typed :class:`~repro.results.DegradationEvent`
+plus ``supervisor.*`` counters.
 
 Counters: ``executor.dispatches`` / ``executor.items`` /
-``executor.retries`` as before, plus ``executor.dispatch_overhead_s``
-(parent-side time spent preparing + submitting a process/shm round:
-context pickling or publication and task submission, i.e. everything
-that is overhead rather than branch work) and ``shm.worker_attaches``
-(fresh segment attaches reported back by shm workers).
+``executor.retries``, plus ``executor.dispatch_overhead_s`` (parent-side
+time spent preparing + submitting a process round: context pickling and
+task submission, i.e. everything that is overhead rather than branch
+work).
 """
 
 from __future__ import annotations
@@ -88,17 +66,15 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from contextlib import contextmanager
 from contextvars import ContextVar
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -117,7 +93,6 @@ from repro.obs.counters import counters
 from repro.resilience.faults import (
     SITE_EXECUTOR_BRANCH,
     SITE_POOL_BREAK,
-    SITE_SHM_SEGMENT_LOST,
     SITE_WORKER_HANG,
     poll as _poll_site,
     poll_indexed as _poll_fault,
@@ -130,138 +105,122 @@ __all__ = [
     "force_executor",
     "prewarm_executor",
     "shutdown_shared_pools",
+    "effective_cpus",
 ]
 
 T = TypeVar("T")
 U = TypeVar("U")
 
-_BACKENDS = ("thread", "process", "shm", "sync")
+_BACKENDS = ("process", "sync")
 
 _override: ContextVar[Optional[str]] = ContextVar("repro_executor_backend", default=None)
 
 #: "no broadcast context" sentinel — ``None`` is a legitimate context
 _NO_CONTEXT = object()
 
+#: cgroup v2 CPU quota file (``"<quota> <period>"`` or ``"max <period>"``)
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+
+
+def effective_cpus() -> float:
+    """CPUs this process can actually burn: the affinity mask capped by
+    the cgroup CPU quota (containers routinely pin this near 1 even when
+    ``os.cpu_count()`` reports the host's cores).  At least 1.0."""
+    try:
+        avail = float(len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        avail = float(os.cpu_count() or 1)
+    try:
+        parts = _CPU_MAX.read_text().split()
+        if parts and parts[0] != "max":
+            avail = min(avail, float(parts[0]) / float(parts[1]))
+    except (OSError, IndexError, ValueError, ZeroDivisionError):
+        pass
+    return max(1.0, avail)
+
+
+def _default_workers() -> int:
+    return max(1, int(effective_cpus()))
+
+
+def _check_backend(backend: str, what: str) -> str:
+    if backend not in _BACKENDS:
+        raise InvalidParameterError(
+            f"{what} must be one of {_BACKENDS}, got {backend!r}"
+        )
+    return backend
+
 
 def executor_backend() -> str:
-    """The active executor backend: ``"thread"``, ``"process"``,
-    ``"shm"`` or ``"sync"``.
+    """The active executor backend: ``"sync"`` or ``"process"``.
 
     Resolution order: :func:`force_executor` override, then the
-    ``REPRO_EXECUTOR`` environment variable, then ``"thread"``.
+    ``REPRO_EXECUTOR`` environment variable, then ``"sync"``.
     """
     forced = _override.get()
     if forced is not None:
         return forced
-    backend = os.environ.get("REPRO_EXECUTOR", "thread").strip().lower() or "thread"
-    if backend not in _BACKENDS:
-        raise InvalidParameterError(
-            f"REPRO_EXECUTOR must be one of {_BACKENDS}, got {backend!r}"
-        )
-    return backend
+    backend = os.environ.get("REPRO_EXECUTOR", "sync").strip().lower() or "sync"
+    return _check_backend(backend, "REPRO_EXECUTOR")
 
 
 @contextmanager
 def force_executor(backend: str) -> Iterator[None]:
     """Force the executor backend for the duration of the block
     (contextvar scoped, so concurrent callers are unaffected)."""
-    if backend not in _BACKENDS:
-        raise InvalidParameterError(
-            f"executor backend must be one of {_BACKENDS}, got {backend!r}"
-        )
-    token = _override.set(backend)
+    token = _override.set(_check_backend(backend, "executor backend"))
     try:
         yield
     finally:
         _override.reset(token)
 
 
-def _shm_ready() -> bool:
-    try:
-        from repro.shm.arena import shm_available
-    except Exception:  # pragma: no cover - repro.shm must always import
-        return False
-    return shm_available()
-
-
 # --------------------------------------------------------------------------
-# Shared pools: created lazily, keyed by (kind, workers, tag), reused
+# Shared process pools: created lazily, keyed by (workers, tag), reused
 # across parallel_map calls.  Only untimed calls use them — see module
-# docstring.  ``tag`` distinguishes context-bound process pools (whose
-# workers were initialized with one pickled broadcast context) from the
-# plain persistent pool (tag ""), which the shm backend and contextless
-# calls share.
+# docstring.  ``tag`` distinguishes context-bound pools (whose workers
+# were initialized with one pickled broadcast context) from the plain
+# persistent pool (tag ""), which contextless calls share.
 # --------------------------------------------------------------------------
 
 _pool_lock = threading.Lock()
-_shared_pools: Dict[Tuple[str, int, str], Executor] = {}
-
-
-def _ensure_tracker() -> None:
-    """Start the multiprocessing resource tracker in the parent *before*
-    forking pool workers.
-
-    A worker forked while no tracker is running spawns its own on first
-    shared-memory attach; that private tracker believes it owns the
-    parent's segments and will unlink them when the worker dies (and
-    warn about "leaks" at exit).  Forking after ``ensure_running`` makes
-    every worker inherit the parent's tracker, whose registry is a set —
-    worker attach registrations are no-ops against the creator's entry.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # noqa: BLE001 - platforms without a tracker
-        pass
+_shared_pools: Dict[Tuple[int, str], ProcessPoolExecutor] = {}
 
 
 def _shared_pool(
-    kind: str,
     workers: int,
     tag: str = "",
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
-) -> Executor:
-    key = (kind, workers, tag)
-    stale: List[Executor] = []
+) -> ProcessPoolExecutor:
+    key = (workers, tag)
+    stale: List[ProcessPoolExecutor] = []
     with _pool_lock:
         pool = _shared_pools.get(key)
         if pool is None:
             if tag:
                 # a new context supersedes older context-bound pools of
                 # the same shape; drop them so pools don't accumulate
-                for k in [
-                    k
-                    for k in _shared_pools
-                    if k[0] == kind and k[1] == workers and k[2] and k[2] != tag
-                ]:
+                for k in [k for k in _shared_pools if k[0] == workers and k[1]]:
                     stale.append(_shared_pools.pop(k))
-            if kind == "thread":
-                pool = ThreadPoolExecutor(max_workers=max(workers, 1))
-            else:
-                _ensure_tracker()
-                pool = ProcessPoolExecutor(
-                    max_workers=max(workers, 1),
-                    initializer=initializer,
-                    initargs=initargs,
-                )
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=initializer, initargs=initargs
+            )
             _shared_pools[key] = pool
     for old in stale:
         old.shutdown(wait=False, cancel_futures=True)
     return pool
 
 
-def _evict_shared_pool(kind: str, workers: int, tag: str = "") -> None:
+def _evict_shared_pool(workers: int, tag: str = "") -> None:
     with _pool_lock:
-        pool = _shared_pools.pop((kind, workers, tag), None)
+        pool = _shared_pools.pop((workers, tag), None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
 def shutdown_shared_pools() -> None:
-    """Shut down and forget every lazily-created shared pool, and
-    release every shm context publication held by the executor.
+    """Shut down and forget every lazily-created shared pool.
 
     For harness teardown and end-of-run cleanup; the next
     :func:`parallel_map` call lazily recreates what it needs.
@@ -271,14 +230,6 @@ def shutdown_shared_pools() -> None:
         _shared_pools.clear()
     for pool in pools:
         pool.shutdown(wait=False, cancel_futures=True)
-    with _shm_ref_lock:
-        refs = list(_shm_refs.values())
-        _shm_refs.clear()
-    if refs:
-        from repro.shm.codec import release_object
-
-        for ref in refs:
-            release_object(ref)
 
 
 def prewarm_executor(
@@ -293,19 +244,12 @@ def prewarm_executor(
     happened (not merely been scheduled) on return.  Returns the
     backend that was warmed (``sync`` warms nothing).
     """
-    backend = backend or executor_backend()
-    if backend not in _BACKENDS:
-        raise InvalidParameterError(
-            f"executor backend must be one of {_BACKENDS}, got {backend!r}"
-        )
-    workers = max_workers or os.cpu_count() or 1
-    if backend in ("process", "shm"):
-        pool = _shared_pool("process", workers)
-        futures = [pool.submit(_noop) for _ in range(max(workers, 1))]
-        for fut in futures:
+    backend = _check_backend(backend or executor_backend(), "executor backend")
+    if backend == "process":
+        workers = max_workers or _default_workers()
+        pool = _shared_pool(workers)
+        for fut in [pool.submit(_noop) for _ in range(workers)]:
             fut.result()
-    elif backend == "thread":
-        _shared_pool("thread", workers)
     return backend
 
 
@@ -314,15 +258,10 @@ def _noop() -> None:
 
 
 # --------------------------------------------------------------------------
-# Broadcast-context plumbing.
-#
-# process backend: the context is pickled once per round and installed
-# into every worker by the pool initializer (workers of a context-bound
-# pool unpickle it exactly once, at start-up).
-#
-# shm backend: the context is published into a shared-memory segment and
-# each task carries only the ShmRef; workers attach + decode once, then
-# hit their per-process cache.
+# Broadcast-context plumbing: on the process backend the context is
+# pickled once per round and installed into every worker by the pool
+# initializer (workers of a context-bound pool unpickle it exactly once,
+# at start-up).
 # --------------------------------------------------------------------------
 
 _WORKER_CONTEXT: Any = _NO_CONTEXT
@@ -339,74 +278,14 @@ def _invoke_installed(fn: Callable[[Any, T], U], item: T) -> U:
     return fn(_WORKER_CONTEXT, item)
 
 
-def _shm_invoke(fn: Callable[[Any, T], U], ref, item: T) -> Tuple[bool, U]:
-    from repro.shm.codec import fetch_object
-
-    context, fresh = fetch_object(ref)
-    return fresh, fn(context, item)
-
-
-#: bounded LRU of live shm publications (fingerprint -> ShmRef); each
-#: entry holds one arena refcount, dropped on eviction or shutdown
-_shm_ref_lock = threading.Lock()
-_shm_refs: "OrderedDict[str, Any]" = OrderedDict()
-_SHM_REF_CAP = 8
-
-
-def _acquire_shm_ref(context: Any, context_key: Optional[str]):
-    """Publish ``context`` (or reuse the cached publication) and return
-    its :class:`~repro.shm.codec.ShmRef`.  The cache owns one reference
-    per key; callers never release."""
-    from repro.shm.codec import publish_object, release_object
-
-    with _shm_ref_lock:
-        if context_key is not None and context_key in _shm_refs:
-            _shm_refs.move_to_end(context_key)
-            return _shm_refs[context_key]
-    ref = publish_object(context_key, context)
-    evicted = []
-    extra = None
-    with _shm_ref_lock:
-        cached = _shm_refs.get(ref.key)
-        if cached is not None:
-            # raced with another thread (or keyless digest collision):
-            # keep the cache's reference, return the extra one we hold
-            _shm_refs.move_to_end(ref.key)
-            extra = ref
-            ref = cached
-        else:
-            _shm_refs[ref.key] = ref
-            while len(_shm_refs) > _SHM_REF_CAP:
-                _, old = _shm_refs.popitem(last=False)
-                evicted.append(old)
-    if extra is not None:
-        release_object(extra)
-    for old in evicted:
-        release_object(old)
-    return ref
-
-
-def _discard_shm_ref(key: str) -> None:
-    """Drop ``key``'s publication entirely (segment unlinked now): the
-    recovery path after a lost segment, so a retry republishes instead
-    of handing workers a dead name."""
-    from repro.shm.arena import arena
-
-    with _shm_ref_lock:
-        _shm_refs.pop(key, None)
-    arena().discard(key)
-
-
-def _run_item(fn: Callable[[T], U], item: T, index: int) -> U:
+def _polled_failure(index: int) -> Optional[Exception]:
+    """The injected failure armed for branch ``index``, if any: a branch
+    fault, or a worker hang recorded as a heartbeat-stall timeout."""
     if _poll_fault(SITE_EXECUTOR_BRANCH, index) is not None:
-        raise FaultInjected(f"injected failure in executor branch {index}")
-    return fn(item)
-
-
-def _run_item_ctx(fn: Callable[[Any, T], U], context: Any, item: T, index: int) -> U:
-    if _poll_fault(SITE_EXECUTOR_BRANCH, index) is not None:
-        raise FaultInjected(f"injected failure in executor branch {index}")
-    return fn(context, item)
+        return FaultInjected(f"injected failure in executor branch {index}")
+    if _poll_fault(SITE_WORKER_HANG, index) is not None:
+        return TimeoutError(f"injected worker hang in branch {index} (heartbeat stall)")
+    return None
 
 
 def _drain(
@@ -439,30 +318,24 @@ def _drain(
     return timed_out
 
 
-def _parent_side_polls(indices: Sequence[int], failures: dict) -> List[int]:
-    """Shared parent-side pre-dispatch polls for process-family
-    backends: branch faults, injected hangs, and budget checkpoints are
-    applied here because workers cannot see the caller's contextvars."""
-    from repro.errors import BudgetExceeded
-    from repro.resilience.budget import checkpoint as _budget_checkpoint
-
-    dispatch: List[int] = []
+def _attempt_sync(
+    fn: Callable[..., U], items: List[T], indices: Sequence[int], context: Any
+) -> Tuple[dict, dict]:
+    """One in-line pass over ``indices``, each branch in a copy of the
+    caller's context (budget checkpoints fire inside the branch)."""
+    results: dict = {}
+    failures: dict = {}
     for i in indices:
-        if _poll_fault(SITE_EXECUTOR_BRANCH, i) is not None:
-            failures[i] = FaultInjected(f"injected failure in executor branch {i}")
-            continue
-        if _poll_fault(SITE_WORKER_HANG, i) is not None:
-            failures[i] = TimeoutError(
-                f"injected worker hang in branch {i} (heartbeat stall)"
-            )
-            continue
-        try:
-            _budget_checkpoint(f"executor.branch[{i}]")
-        except BudgetExceeded as exc:
+        exc = _polled_failure(i)
+        if exc is not None:
             failures[i] = exc
             continue
-        dispatch.append(i)
-    return dispatch
+        args = (items[i],) if context is _NO_CONTEXT else (context, items[i])
+        try:
+            results[i] = contextvars.copy_context().run(fn, *args)
+        except Exception as exc:  # noqa: BLE001 - aggregated for the caller
+            failures[i] = exc
+    return results, failures
 
 
 def _attempt_process(
@@ -479,16 +352,30 @@ def _attempt_process(
     Worker processes cannot see the caller's contextvars, so the fault
     plan and the armed budget are polled here in the parent, once per
     branch before dispatch; a hit is recorded as that branch's failure
-    (the same per-item semantics an in-branch raise has on the thread
-    backend, so retries and aggregation compose identically).
+    (the same per-item semantics an in-branch raise has on ``sync``, so
+    retries and aggregation compose identically).
 
     A broadcast ``context`` is pickled once and installed by the pool
-    initializer of a context-bound pool (keyed by the payload digest),
-    so per-item tasks carry only ``(fn, item)``.
+    initializer of a context-bound pool (keyed by ``context_key`` or the
+    payload digest), so per-item tasks carry only ``(fn, item)``.
     """
+    from repro.errors import BudgetExceeded
+    from repro.resilience.budget import checkpoint as _budget_checkpoint
+
     results: dict = {}
     failures: dict = {}
-    dispatch = _parent_side_polls(indices, failures)
+    dispatch: List[int] = []
+    for i in indices:
+        exc = _polled_failure(i)
+        if exc is None:
+            try:
+                _budget_checkpoint(f"executor.branch[{i}]")
+            except BudgetExceeded as budget_exc:
+                exc = budget_exc
+        if exc is not None:
+            failures[i] = exc
+        else:
+            dispatch.append(i)
     if not dispatch:
         return results, failures
 
@@ -515,7 +402,7 @@ def _attempt_process(
         # injected pool breakage: every branch of this round dies with
         # the pool, which is evicted — the same shape a real worker
         # death has, so retry/degradation paths are exercised exactly
-        _evict_shared_pool("process", workers, tag)
+        _evict_shared_pool(workers, tag)
         for i in dispatch:
             failures[i] = BrokenExecutor(
                 "injected process pool breakage (fault site executor.pool_break)"
@@ -523,14 +410,12 @@ def _attempt_process(
         return results, failures
 
     transient = timeout is not None
-    if transient:
-        _ensure_tracker()
     pool = (
         ProcessPoolExecutor(
-            max_workers=max(workers, 1), initializer=initializer, initargs=initargs
+            max_workers=workers, initializer=initializer, initargs=initargs
         )
         if transient
-        else _shared_pool("process", workers, tag, initializer, initargs)
+        else _shared_pool(workers, tag, initializer, initargs)
     )
     timed_out = False
     reg = counters()
@@ -548,7 +433,7 @@ def _attempt_process(
         # branches; evict so the interrupted run cannot leak a poisoned
         # shared pool into the next call
         if not transient:
-            _evict_shared_pool("process", workers, tag)
+            _evict_shared_pool(workers, tag)
         raise
     finally:
         if transient:
@@ -557,204 +442,28 @@ def _attempt_process(
     if not transient and any(isinstance(e, BrokenExecutor) for e in failures.values()):
         # a dead worker poisons the whole ProcessPoolExecutor; evict so
         # the retry (or the next caller) gets a fresh pool
-        _evict_shared_pool("process", workers, tag)
-    return results, failures
-
-
-def _attempt_shm(
-    fn: Callable[..., U],
-    items: List[T],
-    indices: Sequence[int],
-    workers: int,
-    timeout: Optional[float],
-    context: Any,
-    context_key: Optional[str],
-) -> Tuple[dict, dict]:
-    """One zero-copy pass: publish (or reuse) the context segment, send
-    only ``(fn, ref, item)`` per task, and let persistent workers serve
-    from their attach cache.
-
-    Failure shapes: a lost segment (injected via ``shm.segment_lost``
-    or raised by a worker whose attach found the name gone) fails the
-    round's branches with :class:`~repro.shm.arena.ShmSegmentLost` and
-    drops the cached publication so the retry republishes — the pool
-    itself is healthy and is *not* evicted.  Any other
-    ``BrokenExecutor`` means a dead worker and evicts the pool exactly
-    like the process backend.
-    """
-    from repro.shm.arena import ShmSegmentLost
-
-    results: dict = {}
-    failures: dict = {}
-    dispatch = _parent_side_polls(indices, failures)
-    if not dispatch:
-        return results, failures
-
-    if _poll_site(SITE_POOL_BREAK) is not None:
-        _evict_shared_pool("process", workers)
-        for i in dispatch:
-            failures[i] = BrokenExecutor(
-                "injected process pool breakage (fault site executor.pool_break)"
-            )
-        return results, failures
-
-    t0 = time.perf_counter()
-    ref = _acquire_shm_ref(context, context_key)
-
-    if _poll_site(SITE_SHM_SEGMENT_LOST) is not None:
-        # genuinely unlink the segment: the round dies the way it would
-        # if the publication vanished between dispatch and attach, and
-        # the retry must republish under a fresh segment name
-        _discard_shm_ref(ref.key)
-        for i in dispatch:
-            failures[i] = ShmSegmentLost(
-                f"injected loss of shared-memory segment {ref.segment!r} "
-                "(fault site shm.segment_lost)"
-            )
-        return results, failures
-
-    transient = timeout is not None
-    if transient:
-        _ensure_tracker()
-    pool = (
-        ProcessPoolExecutor(max_workers=max(workers, 1))
-        if transient
-        else _shared_pool("process", workers)
-    )
-    timed_out = False
-    reg = counters()
-    raw: dict = {}
-    try:
-        futures = {pool.submit(_shm_invoke, fn, ref, items[i]): i for i in dispatch}
-        if reg.enabled:
-            reg.add("executor.dispatch_overhead_s", time.perf_counter() - t0)
-        timed_out = _drain(futures, timeout, raw, failures)
-    except BrokenExecutor as exc:
-        for i in dispatch:
-            if i not in raw and i not in failures:
-                failures[i] = exc
-    except BaseException:
-        if not transient:
-            _evict_shared_pool("process", workers)
-        raise
-    finally:
-        if transient:
-            pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
-
-    attaches = 0
-    for i, (fresh, value) in raw.items():
-        results[i] = value
-        if fresh:
-            attaches += 1
-    if attaches and reg.enabled:
-        reg.add("shm.worker_attaches", float(attaches))
-
-    lost = any(isinstance(e, ShmSegmentLost) for e in failures.values())
-    if lost:
-        _discard_shm_ref(ref.key)
-    if not transient and any(
-        isinstance(e, BrokenExecutor) and not isinstance(e, ShmSegmentLost)
-        for e in failures.values()
-    ):
-        _evict_shared_pool("process", workers)
-    return results, failures
-
-
-def _attempt(
-    fn: Callable[..., U],
-    items: List[T],
-    indices: Sequence[int],
-    workers: int,
-    timeout: Optional[float],
-    backend: str,
-    context: Any,
-    context_key: Optional[str],
-) -> Tuple[dict, dict]:
-    """One pass over ``indices``; returns ``(results, failures)`` by index."""
-    if backend == "shm" and context is not _NO_CONTEXT:
-        return _attempt_shm(fn, items, indices, workers, timeout, context, context_key)
-    if backend in ("process", "shm"):
-        # shm without a broadcast context has nothing to share — the
-        # plain persistent process pool is the same thing
-        return _attempt_process(
-            fn, items, indices, workers, timeout, context, context_key
-        )
-
-    results: dict = {}
-    failures: dict = {}
-    live: List[int] = []
-    for i in indices:
-        if _poll_fault(SITE_WORKER_HANG, i) is not None:
-            failures[i] = TimeoutError(
-                f"injected worker hang in branch {i} (heartbeat stall)"
-            )
-        else:
-            live.append(i)
-    ctx = contextvars.copy_context()
-
-    if context is _NO_CONTEXT:
-
-        def call(i: int) -> U:
-            return ctx.copy().run(_run_item, fn, items[i], i)
-
-    else:
-
-        def call(i: int) -> U:
-            return ctx.copy().run(_run_item_ctx, fn, context, items[i], i)
-
-    if backend == "sync" or (workers <= 1 and timeout is None):
-        for i in live:
-            try:
-                results[i] = call(i)
-            except Exception as exc:  # noqa: BLE001 - aggregated for the caller
-                failures[i] = exc
-        return results, failures
-
-    if timeout is None:
-        pool = _shared_pool("thread", workers)
-        try:
-            futures = {pool.submit(call, i): i for i in live}
-            _drain(futures, None, results, failures)
-        except BaseException:
-            # KeyboardInterrupt mid-drain: branches may still be running
-            # on the shared pool — evict it so the next call starts fresh
-            _evict_shared_pool("thread", workers)
-            raise
-        return results, failures
-
-    # timed call: private pool, because a timed-out branch keeps its
-    # worker occupied and must not poison the shared pool
-    pool = ThreadPoolExecutor(max_workers=max(workers, 1))
-    timed_out = False
-    try:
-        futures = {pool.submit(call, i): i for i in live}
-        timed_out = _drain(futures, timeout, results, failures)
-    finally:
-        pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
+        _evict_shared_pool(workers, tag)
     return results, failures
 
 
 def _route(requested: str, supervisor: Optional[Supervisor], fn: Callable) -> str:
     """Resolve the backend for one dispatch round: supervisor health
-    first, then capability requirements (shared memory actually
-    mounted; ``fn`` picklable for the process-family backends)."""
+    first, then the process backend's requirement that ``fn`` pickles."""
     backend = supervisor.select(requested) if supervisor is not None else requested
-    if backend == "shm" and not _shm_ready():
-        backend = "process"
-    if backend in ("process", "shm"):
+    if backend == "process":
         try:
             pickle.dumps(fn)
         except Exception:  # noqa: BLE001 - lambdas/closures can't cross processes
-            backend = "thread"
+            backend = "sync"
     return backend
 
 
 def _report_health(supervisor: Supervisor, backend: str, failures: dict) -> None:
     """Classify one round's failures into backend-health signals.
 
-    Broken pools, lost segments, and timeouts are substrate failures and
-    enter backoff; branch-level application errors (including injected
-    branch faults) say nothing about the backend and are ignored here.
+    Broken pools and timeouts are substrate failures and enter backoff;
+    branch-level application errors (including injected branch faults)
+    say nothing about the backend and are ignored here.
     """
     if any(isinstance(e, BrokenExecutor) for e in failures.values()):
         supervisor.record_failure(backend, "broken_pool")
@@ -780,10 +489,8 @@ def parallel_map(
     Parameters
     ----------
     max_workers:
-        Defaults to ``os.cpu_count()`` (1 when the platform cannot
-        report a count).  The thread backend falls back to a sequential
-        loop for empty or single-item inputs (unless a timeout is
-        requested).
+        Process pool size; defaults to :func:`effective_cpus` (rounded
+        down, at least 1).  Ignored by the ``sync`` backend.
     retries:
         Per-item retry count: a failed item re-runs up to this many
         extra times before counting as failed.
@@ -803,24 +510,21 @@ def parallel_map(
         Optional immutable broadcast argument.  When provided, ``fn``
         is called as ``fn(context, item)`` and the context crosses the
         pool boundary **once per round**, not once per item: pickled
-        into the worker initializer on the process backend, published
-        as a zero-copy shared-memory segment on the shm backend, passed
-        by reference on thread/sync.  Must not be mutated by branches.
+        into the worker initializer on the process backend, passed by
+        reference on sync.  Must not be mutated by branches.
     context_key:
         Stable fingerprint of ``context`` (e.g. the engine's artifact
-        fingerprint).  Lets the shm backend reuse a live publication
-        and the process backend reuse a context-bound pool across
-        ``parallel_map`` calls without hashing the payload; optional
-        (a content digest is computed when omitted).
+        fingerprint).  Lets the process backend reuse a context-bound
+        pool across ``parallel_map`` calls without hashing the payload;
+        optional (a content digest is computed when omitted).
 
     Notes
     -----
     With a :class:`~repro.resilience.supervisor.Supervisor` armed in the
     calling context, the backend is re-resolved through its health model
     before **every** dispatch round: a round whose pool broke (or timed
-    out, or lost its shared-memory segment) records a backend failure,
-    and the retry round runs on the next healthy stage of the
-    degradation chain.
+    out) records a backend failure, and the retry round runs on the next
+    healthy stage of the degradation chain.
     """
     if retries < 0:
         raise InvalidParameterError("retries must be >= 0")
@@ -832,10 +536,7 @@ def parallel_map(
     requested = executor_backend()
     supervisor = active_supervisor()
     backend = _route(requested, supervisor, fn)
-    # explicit guard: os.cpu_count() may return None on exotic platforms
-    workers = max_workers or os.cpu_count() or 1
-    if backend == "thread" and len(items) == 1 and timeout is None:
-        workers = 1
+    workers = max_workers or _default_workers()
 
     reg = counters()
     if reg.enabled:
@@ -847,9 +548,12 @@ def parallel_map(
     for round_no in range(retries + 1):
         if round_no and reg.enabled:
             reg.add("executor.retries", float(len(todo)))
-        got, bad = _attempt(
-            fn, items, todo, workers, timeout, backend, context, context_key
-        )
+        if backend == "process":
+            got, bad = _attempt_process(
+                fn, items, todo, workers, timeout, context, context_key
+            )
+        else:
+            got, bad = _attempt_sync(fn, items, todo, context)
         results.update(got)
         failed = bad
         todo = sorted(bad)

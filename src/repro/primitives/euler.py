@@ -53,9 +53,8 @@ class RootedTree:
         # derived-structure memos (treecache's LCA table, centroid's
         # children lists) live on the instance under "_repro_*" keys;
         # they are pure functions of the tree and must not ride along
-        # through pickling or shared-memory publication — each consumer
-        # process rebuilds (and re-charges) its own, exactly as a fresh
-        # instance would
+        # through pickling — each consumer process rebuilds (and
+        # re-charges) its own, exactly as a fresh instance would
         return {
             k: v for k, v in self.__dict__.items() if not k.startswith("_repro_")
         }

@@ -3,7 +3,7 @@ health-aware execution supervision, checkpoint/resume, and deterministic
 fault injection.
 
 See ``docs/robustness.md`` for the budget/retry/fallback contract, the
-``process → thread → sync`` degradation chain, and the checkpoint file
+``process → sync`` degradation chain, and the checkpoint file
 format.
 
 Only the leaf modules (:mod:`~repro.resilience.budget`,

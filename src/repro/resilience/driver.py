@@ -20,8 +20,8 @@ Strategy (``exact`` → ``exact escalated`` → ``stoer_wagner``):
 The whole run executes under a
 :class:`repro.resilience.supervisor.Supervisor` — every
 :func:`repro.pram.executor.parallel_map` round consults it, so broken
-pools and worker hangs degrade the backend chain ``process → thread →
-sync`` with seeded backoff instead of failing the run; the collected
+pools and worker hangs degrade the backend chain ``process → sync``
+with seeded backoff instead of failing the run; the collected
 :class:`repro.results.DegradationEvent` records are returned on
 :attr:`repro.results.CutResult.degradations`.
 

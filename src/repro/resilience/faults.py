@@ -84,13 +84,6 @@ Sites instrumented in the pipeline
     ``os.replace``); the write-time verify-back fails, the previous
     snapshot/WAL generation is retained, and recovery falls back to the
     newest snapshot that passes its content hash.
-``shm.segment_lost``
-    :func:`repro.pram.executor.parallel_map` (shm backend) genuinely
-    unlinks the published shared-memory context segment at dispatch
-    time: every branch of the round fails with
-    :class:`repro.shm.arena.ShmSegmentLost` (a ``BrokenExecutor``), the
-    executor's published-ref cache drops the key so a retry republishes,
-    and the supervisor degrades ``shm → process``.
 
 Activation is scoped (:func:`inject` context manager, contextvar-backed)
 so concurrent un-faulted callers are unaffected.  Site names are
@@ -123,7 +116,6 @@ __all__ = [
     "SITE_SERVE_QUEUE_STALL",
     "SITE_SERVE_HANDLER_CRASH",
     "SITE_SERVE_SLOW_CLIENT",
-    "SITE_SHM_SEGMENT_LOST",
     "SITE_DELTA_FORCE_REBASE",
     "SITE_WAL_TORN_WRITE",
     "SITE_WAL_CORRUPT_RECORD",
@@ -152,7 +144,6 @@ SITE_SERVE_ACCEPT_DROP = "serve.accept_drop"
 SITE_SERVE_QUEUE_STALL = "serve.queue_stall"
 SITE_SERVE_HANDLER_CRASH = "serve.handler_crash"
 SITE_SERVE_SLOW_CLIENT = "serve.slow_client"
-SITE_SHM_SEGMENT_LOST = "shm.segment_lost"
 #: force the engine's next :meth:`CutEngine.update` onto the rebase path
 #: regardless of its triggers (exercises the rebase fallback mid-sequence)
 SITE_DELTA_FORCE_REBASE = "delta.force_rebase"
@@ -188,7 +179,6 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_WORKER_HANG,
     SITE_CHECKPOINT_CORRUPT,
     SITE_CHECKPOINT_KILL,
-    SITE_SHM_SEGMENT_LOST,
     SITE_DELTA_FORCE_REBASE,
 ) + SERVICE_SITES + DURABILITY_SITES
 
@@ -361,11 +351,6 @@ def canonical_plans(seed: int = 0) -> Dict[str, FaultPlan]:
         ),
         "checkpoint_kill": FaultPlan(
             [Fault(SITE_CHECKPOINT_KILL, seed=seed)], name="checkpoint_kill"
-        ),
-        # only fires when the shm backend is actually dispatching; on
-        # other backends the plan runs clean, which the matrix tolerates
-        "shm_segment_lost": FaultPlan(
-            [Fault(SITE_SHM_SEGMENT_LOST, seed=seed)], name="shm_segment_lost"
         ),
         # the serve.* sites live in the daemon's request path; armed
         # against the bare driver they simply never fire (the driver

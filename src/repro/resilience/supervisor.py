@@ -1,18 +1,17 @@
 """Health-aware execution supervision: the backend degradation chain.
 
-PR 2 gave :func:`repro.pram.executor.parallel_map` three real backends
-(``process``/``thread``/``sync``); PR 1 made the *algorithmic* pipeline
-resilient.  What was missing is a health model for the execution
-substrate itself: a broken process pool used to be evicted and then
-retried on the same backend forever.  A :class:`Supervisor` closes that
-gap:
+:func:`repro.pram.executor.parallel_map` runs on a process pool or an
+in-line loop (``process``/``sync``), and the resilient driver makes the
+*algorithmic* pipeline resilient.  A :class:`Supervisor` is the health
+model of the execution substrate itself, so a broken process pool is
+not evicted and then retried on the same backend forever:
 
 * it records backend failures (broken pools, timeouts, injected faults)
   per backend, applying **exponential backoff with deterministic seeded
   jitter** — two supervisors built with the same seed block and recover
   on identical schedules, so faulted runs stay reproducible;
 * :meth:`Supervisor.select` routes a requested backend to the first
-  healthy stage of the degradation chain ``process → thread → sync``
+  healthy stage of the degradation chain ``process → sync``
   (the final stage is always eligible — an in-line loop cannot break),
   emitting a typed :class:`repro.results.DegradationEvent` and
   ``supervisor.*`` counters whenever it downgrades;
@@ -50,11 +49,8 @@ __all__ = [
 ]
 
 #: the degradation chain, most capable first; the last stage never
-#: degrades further (a sequential in-line loop cannot break).  ``shm``
-#: is the zero-copy shared-memory process backend — a lost segment or
-#: broken pool there degrades to the plain pickling ``process`` backend
-#: before falling back to threads.
-DEGRADATION_CHAIN: Tuple[str, ...] = ("shm", "process", "thread", "sync")
+#: degrades further (a sequential in-line loop cannot break)
+DEGRADATION_CHAIN: Tuple[str, ...] = ("process", "sync")
 
 
 @dataclass
@@ -226,7 +222,7 @@ def supervised_scope(supervisor: Optional[Supervisor]) -> Iterator[Optional[Supe
     """Arm ``supervisor`` for the duration of the block (``None`` disarms).
 
     Scoped through a contextvar, so concurrent unsupervised callers are
-    unaffected and worker threads (which run in a copy of the caller's
+    unaffected and in-line branches (which run in a copy of the caller's
     context) see the same supervisor.
     """
     token = _active.set(supervisor)

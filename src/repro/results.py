@@ -38,7 +38,7 @@ class DegradationEvent:
         The backend the caller asked for (e.g. ``"process"``).
     backend_to:
         The healthy backend the supervisor routed to instead (further
-        down the ``process → thread → sync`` chain).
+        down the ``process → sync`` chain).
     reason:
         Why ``backend_from`` was unhealthy: ``"broken_pool"``,
         ``"timeout"``, or the generic ``"backoff"``.

@@ -14,7 +14,7 @@ TCP / in-process front ends.
   ``metrics`` op;
 * a :class:`~repro.resilience.Supervisor` armed around every query, so
   executor-level failures inside the engine degrade
-  ``process → thread → sync`` exactly as they do in the resilient
+  ``process → sync`` exactly as they do in the resilient
   driver.
 
 **The overload contract.**  Every request the service *accepts*
@@ -535,21 +535,11 @@ class CutService:
     def _class_backend(self, budget_class: str) -> Optional[str]:
         """The executor backend the tenant's budget class pins, or None.
 
-        A pinned backend the host cannot provide (shm without a usable
-        ``/dev/shm``) falls back to the ambient selection and counts
-        ``serve.backend_fallbacks`` — queries must degrade, not fail,
-        on backend availability."""
+        A pinned ``process`` backend whose pool breaks degrades to
+        ``sync`` through the service's supervisor — queries degrade,
+        not fail."""
         cls = BUDGET_CLASSES.get(budget_class)
-        backend = cls.executor_backend if cls is not None else None
-        if backend is None:
-            return None
-        if backend == "shm":
-            from repro.shm import shm_available
-
-            if not shm_available():
-                self.registry.add("serve.backend_fallbacks")
-                return None
-        return backend
+        return cls.executor_backend if cls is not None else None
 
     def _scoped(self, remaining: float) -> "contextlib.ExitStack":
         """The ambient scopes every query runs under (worker thread):

@@ -68,10 +68,7 @@ class BudgetClass:
 
     ``executor_backend`` optionally pins the executor backend the
     class's queries run on (see :func:`repro.pram.executor.force_executor`);
-    None leaves the process-wide selection alone.  The service falls
-    back — and counts ``serve.backend_fallbacks`` — when the pinned
-    backend is unavailable on the host (e.g. ``shm`` without
-    ``/dev/shm``).
+    None leaves the process-wide selection alone.
     """
 
     name: str
@@ -89,13 +86,13 @@ class BudgetClass:
 
 #: the built-in classes; ``ServerConfig.default_budget_class`` picks the
 #: fallback for tenants registered without one.  Batch tenants run big
-#: fan-outs under generous deadlines, so they default to the zero-copy
-#: shm backend; interactive/standard keep the ambient backend (thread
-#: by default) where dispatch latency beats throughput.
+#: fan-outs under generous deadlines, so they pin the process backend;
+#: interactive/standard keep the ambient backend (sync by default)
+#: where dispatch latency beats throughput.
 BUDGET_CLASSES: Dict[str, BudgetClass] = {
     "interactive": BudgetClass("interactive", 2.0, 10.0, 8, allow_mutation=False),
     "standard": BudgetClass("standard", 10.0, 60.0, 16),
-    "batch": BudgetClass("batch", 60.0, 600.0, 4, executor_backend="shm"),
+    "batch": BudgetClass("batch", 60.0, 600.0, 4, executor_backend="process"),
 }
 
 

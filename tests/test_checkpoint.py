@@ -225,15 +225,15 @@ class TestCrossBackendDeterminism:
     def test_same_seed_same_plan_same_result(self, plan_name):
         g = make_graph(30, 100, seed=51)
         keys = {}
-        for backend in ("process", "thread", "sync"):
+        for backend in ("process", "sync"):
             plan = canonical_plans(seed=5)[plan_name]
             with force_executor(backend), inject(plan):
                 keys[backend] = _result_key(
                     resilient_minimum_cut(g, seed=9)
                 )
-        assert keys["process"] == keys["thread"] == keys["sync"]
+        assert keys["process"] == keys["sync"]
 
-    @pytest.mark.parametrize("backend", ["process", "thread", "sync"])
+    @pytest.mark.parametrize("backend", ["process", "sync"])
     def test_resumed_run_matches_across_backends(self, tmp_path, backend):
         g = make_graph(24, 80, seed=52)
         base = resilient_minimum_cut(g, seed=9)  # default backend

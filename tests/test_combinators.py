@@ -1,5 +1,7 @@
 """Parallel combinators (repro.pram.combinators) and the hardened
-thread-pool executor (repro.pram.executor)."""
+executor (repro.pram.executor)."""
+
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,14 @@ from repro.pram import (
     preduce,
     pscan_exclusive,
 )
+from repro.pram.executor import force_executor
+
+
+def _slow(x):
+    """Module-level (picklable) branch: item 1 outlives the timeout."""
+    if x == 1:
+        time.sleep(2.0)
+    return x
 
 
 class TestLog2Ceil:
@@ -168,16 +178,13 @@ class TestParallelMap:
         assert len(ei.value.failures) == 2
 
     def test_timeout_records_slow_branch(self):
-        import time
-
-        def slow(x):
-            if x == 1:
-                time.sleep(2.0)
-            return x
-
-        with pytest.raises(BranchErrors) as ei:
-            parallel_map(slow, [0, 1], timeout=0.2, on_error="aggregate")
-        assert any(isinstance(e, TimeoutError) for _, e in ei.value.failures)
+        # sync ignores timeouts by contract; the process backend enforces
+        # them on a private pool
+        with force_executor("process"):
+            with pytest.raises(BranchErrors) as ei:
+                parallel_map(_slow, [0, 1], 2, timeout=0.2, on_error="aggregate")
+        assert [i for i, _ in ei.value.failures] == [1]
+        assert isinstance(ei.value.failures[0][1], TimeoutError)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

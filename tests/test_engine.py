@@ -23,7 +23,7 @@ from repro.engine import (
 from repro.errors import InvalidParameterError
 from repro.graphs import Graph, random_connected_graph
 from repro.obs import CounterRegistry, counting_scope
-from repro.pram.executor import force_executor
+from repro.pram.executor import force_executor, shutdown_shared_pools
 from repro.pram.ledger import Ledger
 
 
@@ -45,7 +45,7 @@ def _assert_same_result(a, b):
 class TestColdParity:
     """Engine one-shot ≡ minimum_cut, bit for bit."""
 
-    @pytest.mark.parametrize("backend", ["sync", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sync", "process"])
     @pytest.mark.parametrize("trace", [False, True])
     def test_matrix(self, graph, backend, trace):
         with force_executor(backend):
@@ -253,7 +253,7 @@ class TestArtifactCacheBounds:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("backend", ["sync", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sync", "process"])
     def test_batch_values_exact(self, graph, backend):
         truth = repro.minimum_cut(graph, rng=np.random.default_rng(0)).value
         with force_executor(backend):
@@ -261,6 +261,27 @@ class TestBatch:
         assert len(results) == 6
         for r in results:
             assert r.value == pytest.approx(truth)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_batch_parity_and_ledger_process_vs_sync(self, trace):
+        # values, side masks, stats and the absorbed ledger work/depth
+        # are bit-identical on both backends
+        g = random_connected_graph(50, 350, rng=19, max_weight=6)
+
+        def run(backend):
+            led = Ledger()
+            with force_executor(backend):
+                res = CutEngine(g, seed=0, ledger=led).min_cut_batch(
+                    [1, 2, 3], trace=trace
+                )
+            shutdown_shared_pools()
+            return (
+                [(r.value, np.asarray(r.side).tobytes(), dict(r.stats)) for r in res],
+                (led.work, led.depth),
+                _phases(led),
+            )
+
+        assert run("process") == run("sync")
 
     def test_batch_preprocesses_once(self, graph):
         # batch of 8: approximate/skeleton/greedy-packing phase charges

@@ -58,9 +58,10 @@ class TestPipelines:
         # the three top phases account for (almost) all the work
         assert phase_work == pytest.approx(ledger.work, rel=0.05)
 
-    def test_thread_pool_tree_evaluation(self):
-        """Coarse-grained real parallelism: evaluate candidate trees on a
-        thread pool and agree with the sequential result."""
+    def test_parallel_map_tree_evaluation(self):
+        """Coarse-grained fan-out: evaluate candidate trees through
+        parallel_map (a closure, so it runs on the in-line backend) and
+        agree with the exact value."""
         from repro.packing import pack_trees
         from repro.tworespect import two_respecting_min_cut
 

@@ -5,12 +5,17 @@ they are indistinguishable from the per-entry reference instrument
 (``tests/reference_tworespect.py``): same cut values, same witnesses,
 same structural visit counters, and the same ledger work and depth —
 totals and per-phase.  These tests enforce that contract on randomized
-instances, plus the executor-backend semantics (fault injection and
-budget checkpoints must fire under the process backend, whose workers
-cannot see the caller's contextvars).
+instances, plus the executor-backend semantics: the process backend
+must match sync bit for bit (values, stats, ledger work/depth, traced
+and untraced), and fault injection and budget checkpoints must fire
+under it although its workers cannot see the caller's contextvars.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +30,15 @@ from repro.graphs import Graph, random_connected_graph
 from repro.kernels.flat2d import FlatRangeTree2D
 from repro.kernels.treecache import shared_lca
 from repro.obs import CounterRegistry, counting_scope
-from repro.pram import Ledger, executor_backend, force_executor, parallel_map
+import repro.pram.executor as ex
+from repro.pram import (
+    Ledger,
+    executor_backend,
+    force_executor,
+    parallel_map,
+    prewarm_executor,
+    shutdown_shared_pools,
+)
 from repro.primitives import all_subtree_costs, postorder
 from repro.rangesearch import CutOracle, RangeTree2D
 from repro.resilience.budget import Budget, budget_scope
@@ -235,42 +248,67 @@ def _square(x):
     return x * x
 
 
+# module-level so the process backend can pickle them
+def _scale(context, x):
+    return context["factor"] * x
+
+
+def _die(context, x):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _search_seed(context, seed):
+    graph, parent, branching = context
+    led = Ledger()
+    res = two_respecting_min_cut(graph, parent, branching=branching, ledger=led)
+    return res.value, dict(res.stats), led.work, led.depth
+
+
 class TestExecutorBackends:
+    def setup_method(self):
+        shutdown_shared_pools()
+
+    def teardown_method(self):
+        shutdown_shared_pools()
+
     def test_resolution_order(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert executor_backend() == "thread"
+        assert executor_backend() == "sync"
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
         assert executor_backend() == "process"
         with force_executor("sync"):
             assert executor_backend() == "sync"
-        monkeypatch.setenv("REPRO_EXECUTOR", "fibers")
-        with pytest.raises(InvalidParameterError):
-            executor_backend()
-        with pytest.raises(InvalidParameterError):
-            with force_executor("fibers"):
-                pass
+        for gone in ("fibers", "thread", "shm"):
+            monkeypatch.setenv("REPRO_EXECUTOR", gone)
+            with pytest.raises(InvalidParameterError):
+                executor_backend()
+            with pytest.raises(InvalidParameterError):
+                with force_executor(gone):
+                    pass
+            with pytest.raises(InvalidParameterError):
+                prewarm_executor(gone)
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "sync"])
+    @pytest.mark.parametrize("backend", ["sync", "process"])
     def test_map_matches_sequential(self, backend):
         with force_executor(backend):
             assert parallel_map(_square, list(range(9))) == [x * x for x in range(9)]
             assert parallel_map(_square, []) == []
 
-    def test_shared_thread_pool_reused(self):
-        import repro.pram.executor as ex
-
-        with force_executor("thread"):
+    def test_shared_process_pool_reused(self):
+        with force_executor("process"):
             parallel_map(_square, [1, 2, 3], max_workers=3)
-            first = ex._shared_pools.get(("thread", 3, ""))
+            first = ex._shared_pools.get((3, ""))
             parallel_map(_square, [4, 5, 6], max_workers=3)
             assert first is not None
-            assert ex._shared_pools.get(("thread", 3, "")) is first
+            assert ex._shared_pools.get((3, "")) is first
 
     def test_process_falls_back_for_lambdas(self):
         with force_executor("process"):
             assert parallel_map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        assert ex._route("process", None, lambda x: x) == "sync"
+        assert ex._route("process", None, _square) == "process"
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "sync"])
+    @pytest.mark.parametrize("backend", ["sync", "process"])
     def test_fault_injection_fires(self, backend):
         with force_executor(backend):
             plan = FaultPlan([Fault(SITE_EXECUTOR_BRANCH, index=1)])
@@ -282,6 +320,88 @@ class TestExecutorBackends:
             plan = FaultPlan([Fault(SITE_EXECUTOR_BRANCH, index=1)])
             with inject(plan):
                 assert parallel_map(_square, [1, 2, 3], retries=1) == [1, 4, 9]
+
+    def test_context_broadcast_matches_sync(self):
+        items = list(range(12))
+        ctx = {"factor": 3}
+        with force_executor("sync"):
+            want = parallel_map(_scale, items, context=ctx)
+        with force_executor("process"):
+            got = parallel_map(_scale, items, 2, context=ctx, context_key="scale3")
+        assert got == want
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_search_parity_vs_sync(self, trace):
+        """The process backend produces bit-identical values, stats,
+        and ledger charges to sync, traced and untraced."""
+        from repro import obs
+        from repro.primitives import root_tree, spanning_forest_graph
+
+        g = random_connected_graph(60, 400, rng=19, max_weight=6)
+        ids, _ = spanning_forest_graph(g)
+        ctx = (g, root_tree(g.n, g.u[ids], g.v[ids], 0), 2)
+        seeds = [0, 1, 2, 3]
+
+        def run(backend):
+            with force_executor(backend):
+                if not trace:
+                    return parallel_map(
+                        _search_seed, seeds, 2, context=ctx, context_key="parity"
+                    )
+                tracer = obs.Tracer(ledger=Ledger())
+                with tracer.activate():
+                    out = parallel_map(
+                        _search_seed, seeds, 2, context=ctx, context_key="parity"
+                    )
+                tracer.finish()
+                return out
+
+        assert run("process") == run("sync")
+
+    def test_context_bound_pool_reused_then_superseded(self):
+        with force_executor("process"):
+            parallel_map(_scale, [1, 2], 2, context={"factor": 2}, context_key="k1")
+            first = ex._shared_pools[(2, "k1")]
+            parallel_map(_scale, [3, 4], 2, context={"factor": 2}, context_key="k1")
+            assert ex._shared_pools[(2, "k1")] is first
+            # a new context replaces the old context-bound pool, so
+            # pools do not accumulate one per context
+            assert parallel_map(
+                _scale, [5], 2, context={"factor": 3}, context_key="k2"
+            ) == [15]
+        assert set(ex._shared_pools) == {(2, "k2")}
+
+    def test_prewarm_returns_backend(self):
+        with force_executor("process"):
+            assert prewarm_executor(max_workers=2) == "process"
+        assert (2, "") in ex._shared_pools
+        assert prewarm_executor("sync") == "sync"
+
+    def test_pool_evicted_after_worker_death(self):
+        """A SIGKILLed worker breaks the pool mid-dispatch; the broken
+        pool is evicted and the next dispatch gets a fresh one."""
+        with force_executor("process"):
+            with pytest.raises(BrokenExecutor):
+                parallel_map(_die, [1, 2], 2, context={"factor": 1}, context_key="die")
+            assert (2, "die") not in ex._shared_pools
+            out = parallel_map(_scale, [7], 2, context={"factor": 2}, context_key="die")
+        assert out == [14]
+
+    def test_default_pool_size_follows_effective_cpus(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(ex, "_CPU_MAX", tmp_path / "missing")
+        assert ex.effective_cpus() == 4.0
+        quota = tmp_path / "cpu.max"
+        quota.write_text("150000 100000\n")  # 1.5 CPUs of quota
+        monkeypatch.setattr(ex, "_CPU_MAX", quota)
+        assert ex.effective_cpus() == 1.5
+        with force_executor("process"):
+            assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert set(ex._shared_pools) == {(1, "")}
+            prewarm_executor()
+            assert set(ex._shared_pools) == {(1, "")}
+        quota.write_text("max 100000\n")
+        assert ex.effective_cpus() == 4.0
 
     def test_budget_checkpoint_fires_under_process(self):
         led = Ledger()

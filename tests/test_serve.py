@@ -19,8 +19,10 @@ import pytest
 
 from repro.engine import CutEngine
 from repro.graphs import random_connected_graph
+from repro.pram.executor import shutdown_shared_pools
 from repro.resilience.faults import (
     SERVICE_SITES,
+    SITE_POOL_BREAK,
     SITE_SERVE_ACCEPT_DROP,
     SITE_SERVE_HANDLER_CRASH,
     SITE_SERVE_QUEUE_STALL,
@@ -772,20 +774,18 @@ class TestOverloadContract:
 # ---------------------------------------------------------------------------
 class TestBackendSelection:
     """Budget classes can pin the executor backend their queries run on
-    (batch → shm); an unavailable backend degrades to the ambient
-    selection instead of failing the request."""
+    (batch → process); a broken pool degrades to ``sync`` through the
+    service's supervisor instead of failing the request."""
 
-    def test_batch_class_pins_shm(self):
-        assert BUDGET_CLASSES["batch"].executor_backend == "shm"
+    def teardown_method(self):
+        shutdown_shared_pools()
+
+    def test_batch_class_pins_process(self):
+        assert BUDGET_CLASSES["batch"].executor_backend == "process"
         assert BUDGET_CLASSES["interactive"].executor_backend is None
         assert BUDGET_CLASSES["standard"].executor_backend is None
 
-    def test_batch_request_runs_on_shm(self, graph, edges, exact):
-        pytest.importorskip("numpy")
-        from repro.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("no usable shared memory on this host")
+    def test_batch_request_runs_on_process(self, graph, edges, exact):
         with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges, budget_class="batch")
             batch = srv.request(
@@ -799,33 +799,35 @@ class TestBackendSelection:
             ]
             assert batch["values"] == direct
             counters = srv.request({"op": "metrics"})["counters"]
-            # the fan-out went through the shm backend: the batch context
-            # was published into a segment and workers attached it
-            assert counters.get("shm.segments_published", 0) >= 1
-            assert counters.get("serve.backend_fallbacks", 0) == 0
-        from repro.pram.executor import shutdown_shared_pools
-        from repro.shm.arena import live_segments
+            # the fan-out went through a process pool: only process
+            # rounds record their parent-side dispatch overhead
+            assert counters.get("executor.dispatch_overhead_s", 0) > 0
+            assert counters.get("supervisor.degradations", 0) == 0
 
-        shutdown_shared_pools()
-        assert live_segments() == ()
-
-    def test_unavailable_backend_falls_back(self, graph, edges, exact,
-                                            monkeypatch):
-        monkeypatch.setattr("repro.shm.shm_available", lambda: False)
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+    def test_pool_break_degrades_to_sync(self, graph, edges, exact):
+        plan = FaultPlan((Fault(site=SITE_POOL_BREAK),), name="pool_break")
+        with InProcServer(ServerConfig(queue_depth=8, workers=2), faults=plan) as srv:
             _register(srv, graph, edges, budget_class="batch")
             batch = srv.request(
                 {"op": "min_cut_batch", "tenant": "t", "graph": "g",
                  "seeds": [1, 2]}
             )
             assert batch["type"] == "result"  # degraded, not failed
+            direct = [
+                r.value for r in CutEngine(graph, seed=SEED).min_cut_batch([1, 2])
+            ]
+            assert batch["values"] == direct
+            assert plan.fired == [(SITE_POOL_BREAK, 0)]
+            events = srv.service.supervisor.events
+            assert [(e.backend_from, e.backend_to) for e in events] == [
+                ("process", "sync")
+            ]
             counters = srv.request({"op": "metrics"})["counters"]
-            assert counters.get("serve.backend_fallbacks", 0) >= 1
+            assert counters.get("supervisor.degradations", 0) == 1
 
     def test_standard_class_leaves_backend_alone(self, graph, edges):
         with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges, budget_class="standard")
             resp = srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             assert resp["type"] == "result"
-            counters = srv.request({"op": "metrics"})["counters"]
-            assert counters.get("serve.backend_fallbacks", 0) == 0
+            assert srv.service._class_backend("standard") is None

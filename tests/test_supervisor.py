@@ -47,7 +47,7 @@ class TestSupervisorModel:
     def test_healthy_backend_selected_unchanged(self):
         sup = Supervisor(clock=FakeClock())
         assert sup.select("process") == "process"
-        assert sup.select("thread") == "thread"
+        assert sup.select("sync") == "sync"
         assert sup.events == []
 
     def test_failure_enters_backoff_and_degrades(self):
@@ -55,10 +55,10 @@ class TestSupervisorModel:
         sup = Supervisor(clock=clock, base_backoff=1.0, jitter=0.0)
         sup.record_failure("process", "broken_pool")
         assert not sup.healthy("process")
-        assert sup.select("process") == "thread"
+        assert sup.select("process") == "sync"
         (event,) = sup.events
         assert isinstance(event, DegradationEvent)
-        assert (event.backend_from, event.backend_to) == ("process", "thread")
+        assert (event.backend_from, event.backend_to) == ("process", "sync")
         assert event.reason == "broken_pool"
 
     def test_backoff_is_exponential(self):
@@ -94,7 +94,7 @@ class TestSupervisorModel:
         clock = FakeClock()
         sup = Supervisor(clock=clock, base_backoff=1.0, jitter=0.0)
         sup.record_failure("process", "broken_pool")
-        assert sup.select("process") == "thread"  # still blocked
+        assert sup.select("process") == "sync"  # still blocked
         clock.advance(1.5)  # backoff expired: next selection is a probe
         assert sup.select("process") == "process"
         assert sup.health["process"].probing
@@ -124,7 +124,7 @@ class TestSupervisorModel:
         clock = FakeClock()
         sup = Supervisor(clock=clock, jitter=0.0)
         sup.record_failure("process", "broken_pool")
-        sup.record_failure("thread", "timeout")
+        sup.record_failure("sync", "timeout")  # the last stage never blocks
         assert sup.select("process") == "sync"
 
     def test_events_since(self):
@@ -159,7 +159,7 @@ class TestSupervisorModel:
         assert active_supervisor() is None
 
     def test_chain_constant(self):
-        assert DEGRADATION_CHAIN == ("shm", "process", "thread", "sync")
+        assert DEGRADATION_CHAIN == ("process", "sync")
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +178,18 @@ class TestSupervisedExecutor:
         assert plan.fired == [("executor.pool_break", 0)]
         assert sup.health["process"].failures == 1
         assert [(e.backend_from, e.backend_to) for e in sup.events] == [
-            ("process", "thread")
+            ("process", "sync")
         ]
 
     def test_worker_hang_recorded_as_timeout(self):
         sup = Supervisor(clock=FakeClock(), jitter=0.0)
         plan = canonical_plans(seed=0)["worker_hang"]
-        with force_executor("thread"), supervised_scope(sup), inject(plan):
+        with force_executor("process"), supervised_scope(sup), inject(plan):
             out = parallel_map(_probe, [1, 2, 3], retries=1)
         assert out == [2, 4, 6]
-        assert sup.health["thread"].last_reason == "timeout"
+        assert sup.health["process"].last_reason == "timeout"
         assert [(e.backend_from, e.backend_to) for e in sup.events] == [
-            ("thread", "sync")
+            ("process", "sync")
         ]
 
     def test_unsupervised_behaviour_unchanged(self):
@@ -206,7 +206,7 @@ class TestSupervisedExecutor:
             out = parallel_map(_probe, [5], retries=0)
         assert out == [10]
         # the dispatch ran on the degraded stage, recorded as an event
-        assert sup.events[-1].backend_to == "thread"
+        assert sup.events[-1].backend_to == "sync"
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,6 @@ class TestSupervisedDriver:
     @pytest.mark.parametrize("plan_name,backend", [
         ("pool_break", "process"),
         ("worker_hang", "process"),
-        ("worker_hang", "thread"),
     ])
     def test_substrate_fault_yields_verified_cut_with_events(
         self, plan_name, backend

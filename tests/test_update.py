@@ -158,9 +158,9 @@ class TestUpdateParity:
     def test_fifty_mixed_updates_match_cold_rebuild(self, graph):
         with force_executor("sync"):
             trajectory = self._run_sequence(graph, steps=50, seed=100, fault_at=25)
-        # the thread backend must reproduce the cold-checked trajectory
+        # the process backend must reproduce the cold-checked trajectory
         # bit for bit over the identical delta sequence
-        with force_executor("thread"):
+        with force_executor("process"):
             self._run_sequence(
                 graph, steps=50, seed=100, fault_at=25, oracle=trajectory
             )
