@@ -12,10 +12,10 @@ always an upper bound on the minimum cut and equals it w.h.p. (and in
 probability at benchmark scale is unobservably small; see DESIGN.md
 section 5).
 
-This module is now a thin wrapper: the staged pipeline body lives in
-:mod:`repro.engine.stages` (one definition shared with the resilient
-driver and :class:`repro.engine.CutEngine`, so engine-mediated results
-are bit-identical by construction).  The pipeline knobs are documented
+This module is a thin wrapper: :func:`minimum_cut` is one cold
+:meth:`repro.engine.CutEngine.min_cut` query, the single composition of
+the stage functions in :mod:`repro.engine.stages` (the resilient driver
+runs the same query per attempt).  The pipeline knobs are documented
 once in :class:`repro.params.CutPipelineParams`; ``trace=True`` runs
 attach a :class:`repro.obs.RunReport` (phase spans + counters) to the
 result.
@@ -29,7 +29,8 @@ from typing import Literal, Optional
 import numpy as np
 
 from repro import obs
-from repro.engine.stages import branching_for_epsilon, run_pipeline
+from repro.engine.service import CutEngine
+from repro.engine.stages import branching_for_epsilon
 from repro.graphs.graph import Graph
 from repro.params import CutPipelineParams
 from repro.pram.ledger import Ledger, NULL_LEDGER
@@ -88,8 +89,8 @@ def minimum_cut(
 
     See also
     --------
-    repro.engine.CutEngine : the staged/cached spelling of the same
-        pipeline, for repeated queries over one graph.
+    repro.engine.CutEngine : what this call runs cold; keep one engine
+        for repeated queries over one graph.
     """
     params = CutPipelineParams.resolve(
         pipeline,
@@ -100,29 +101,16 @@ def minimum_cut(
         hierarchy=hierarchy_params,
         packing_iterations=packing_iterations,
     )
-    if trace and not obs.tracing_active():
-        if ledger is NULL_LEDGER:
-            ledger = Ledger()
-        tracer = obs.Tracer(ledger=ledger)
-        with tracer.activate():
-            res = _minimum_cut_impl(graph, params, approx_value, rng, ledger)
-        report = tracer.report(
-            algorithm="minimum_cut", n=graph.n, m=graph.m
-        )
-        return dataclasses.replace(res, report=report)
-    return _minimum_cut_impl(graph, params, approx_value, rng, ledger)
-
-
-def _minimum_cut_impl(
-    graph: Graph,
-    params: CutPipelineParams,
-    approx_value: Optional[float],
-    rng: Optional[np.random.Generator],
-    ledger: Ledger,
-    hooks=None,
-) -> CutResult:
-    """The staged pipeline body — see
-    :func:`repro.engine.stages.run_pipeline` (this alias is the
-    resilient driver's entry, kept here so the driver depends on the
-    core module, not the engine package layout)."""
-    return run_pipeline(graph, params, approx_value, rng, ledger, hooks=hooks)
+    traced = trace and not obs.tracing_active()
+    if traced and ledger is NULL_LEDGER:
+        ledger = Ledger()
+    engine = CutEngine(
+        graph, rng=rng, approx_value=approx_value, pipeline=params, ledger=ledger
+    )
+    if not traced:
+        return engine.min_cut()
+    tracer = obs.Tracer(ledger=ledger)
+    with tracer.activate():
+        res = engine.min_cut()
+    report = tracer.report(algorithm="minimum_cut", n=graph.n, m=graph.m)
+    return dataclasses.replace(res, report=report)

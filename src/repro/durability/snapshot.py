@@ -1,10 +1,11 @@
 """Atomic, hash-verified snapshots of the daemon's durable state.
 
-A snapshot file is a pickle of ``{"version", "sha256", "payload"}``
-where ``payload`` is the *pickled bytes* of the inner dict
-``{"seq", "chain", "payload"}`` and ``sha256`` is the hex digest of
-those bytes — the same outer-envelope/verify-on-read discipline as
-:mod:`repro.resilience.checkpointing`.  Writes go to a ``.tmp`` sibling
+A snapshot file is the :func:`~repro.resilience.checkpointing.seal`
+envelope the resilient driver's checkpoints use: a pickle of
+``{"version", "sha256", "payload"}`` where ``payload`` is the *pickled
+bytes* of the inner dict ``{"seq", "chain", "payload"}`` and ``sha256``
+is the hex digest of those bytes, verified on every read.  Writes go to
+a ``.tmp`` sibling
 which is loaded back and hash-verified *before* :func:`os.replace`
 promotes it, so a crash — or a verification failure — leaves either the
 old file or a proven-good new one, never a half-written hybrid; that
@@ -16,7 +17,7 @@ chained fingerprint at that point — recovery refuses a snapshot whose
 chain does not match the log it is paired with.
 
 The ``snapshot.partial`` fault site truncates the inner payload bytes
-before the write, simulating a snapshot torn by a crash mid-dump: the
+after hashing, simulating a snapshot torn by a crash mid-dump: the
 envelope hash then fails verification and the caller keeps the previous
 generation.
 """
@@ -24,15 +25,13 @@ generation.
 from __future__ import annotations
 
 import os
-import pickle
 import re
-from hashlib import sha256
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import RecoveryError
-from repro.resilience.faults import SITE_SNAPSHOT_PARTIAL, FaultPlan
-from repro.durability.wal import _poll
+from repro.resilience.checkpointing import seal, unseal
+from repro.resilience.faults import SITE_SNAPSHOT_PARTIAL, FaultPlan, poll
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -75,21 +74,16 @@ def write_snapshot(
     raised :class:`~repro.errors.RecoveryError` means *no* usable new
     snapshot exists and the caller must keep every older generation.
     """
-    inner = pickle.dumps(
+    torn = poll(SITE_SNAPSHOT_PARTIAL, faults) is not None
+    blob = seal(
         {"seq": int(seq), "chain": chain, "payload": payload},
-        protocol=pickle.HIGHEST_PROTOCOL,
+        SNAPSHOT_VERSION,
+        damage=(lambda raw: raw[: max(1, len(raw) // 3)]) if torn else None,
     )
-    if _poll(faults, SITE_SNAPSHOT_PARTIAL) is not None:
-        inner = inner[: max(1, len(inner) // 3)]
-    envelope = {
-        "version": SNAPSHOT_VERSION,
-        "sha256": sha256(inner).hexdigest(),
-        "payload": inner,
-    }
     path = snapshot_path(state_dir, seq)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fh.write(blob)
         fh.flush()
         os.fsync(fh.fileno())
     # verify-back *before* promoting: prove the bytes on disk
@@ -111,23 +105,7 @@ def load_snapshot(path: str) -> Dict[str, object]:
     Raises :class:`~repro.errors.RecoveryError` on unreadable bytes, an
     unknown version, or a content-hash mismatch.
     """
-    try:
-        with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        raise RecoveryError(f"{path}: unreadable snapshot ({exc})") from exc
-    if not isinstance(envelope, dict) or envelope.get("version") != SNAPSHOT_VERSION:
-        raise RecoveryError(
-            f"{path}: unknown snapshot version "
-            f"{envelope.get('version') if isinstance(envelope, dict) else '?'!r}"
-        )
-    inner = envelope.get("payload", b"")
-    if sha256(inner).hexdigest() != envelope.get("sha256"):
-        raise RecoveryError(f"{path}: snapshot content hash mismatch")
-    try:
-        state = pickle.loads(inner)
-    except Exception as exc:  # hash passed but bytes don't reconstruct
-        raise RecoveryError(f"{path}: snapshot payload does not unpickle") from exc
+    state = unseal(path, SNAPSHOT_VERSION, RecoveryError, f"snapshot {path}")
     if not isinstance(state, dict) or "seq" not in state or "chain" not in state:
         raise RecoveryError(f"{path}: snapshot payload missing seq/chain")
     return state

@@ -63,14 +63,8 @@ from repro.errors import RecoveryError, SimulatedCrash, WalCorruptionError
 from repro.resilience.faults import (
     SITE_WAL_CORRUPT_RECORD,
     SITE_WAL_TORN_WRITE,
-    FaultPlan,
-    poll as poll_ambient,
+    poll,
 )
-
-
-def _poll(plan: Optional[FaultPlan], site: str):
-    """Poll an explicit plan if one was handed in, else the ambient one."""
-    return plan.poll(site) if plan is not None else poll_ambient(site)
 
 __all__ = [
     "MAGIC",
@@ -354,8 +348,8 @@ class WriteAheadLog:
         crc = zlib.crc32(body) & 0xFFFFFFFF
         frame = _FRAME.pack(len(body), crc) + body
         reg = obs.counters()
-        torn = _poll(self.faults, SITE_WAL_TORN_WRITE)
-        corrupt = _poll(self.faults, SITE_WAL_CORRUPT_RECORD)
+        torn = poll(SITE_WAL_TORN_WRITE, self.faults)
+        corrupt = poll(SITE_WAL_CORRUPT_RECORD, self.faults)
         if corrupt is not None:
             frame = _corrupt_frame(frame, int(corrupt.seed or 0) + seq)
         if torn is not None:

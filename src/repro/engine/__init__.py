@@ -3,19 +3,20 @@
 Layout:
 
 * :mod:`repro.engine.stages` — the exact pipeline's stage functions,
-  defined once; :func:`~repro.engine.stages.run_pipeline` is the
-  one-shot composition behind :func:`repro.minimum_cut` and the
-  resilient driver;
+  defined once;
 * :mod:`repro.engine.artifacts` — frozen, fingerprinted stage outputs;
 * :mod:`repro.engine.cache` — the size-bounded, hash-keyed
   :class:`ArtifactCache`;
 * :mod:`repro.engine.deltas` — :class:`GraphDelta`/:class:`DeltaLog`:
   the validated edge-mutation batches ``CutEngine.update`` layers
   over the base artifact chain, plus :class:`UpdateResult`;
-* :mod:`repro.engine.service` — :class:`CutEngine`: ``min_cut()``,
-  ``min_cut_batch(seeds)``, ``update(add_edges=..., remove_edges=...,
-  reweight=...)``, and the ``snapshot_state``/``restore_state`` pair
-  :mod:`repro.durability` persists engines through.
+* :mod:`repro.engine.service` — :class:`CutEngine`, the one
+  composition of those stages (:func:`repro.minimum_cut` and each
+  :func:`repro.resilient_minimum_cut` attempt are cold queries of it):
+  ``min_cut()``, ``min_cut_batch(seeds)``, ``update(add_edges=...,
+  remove_edges=..., reweight=...)``, and the
+  ``snapshot_state``/``restore_state`` pair :mod:`repro.durability`
+  persists engines through.
 
 See ``docs/architecture.md`` for the stage graph and the
 cache-invalidation rules.
@@ -32,7 +33,6 @@ from repro.engine.artifacts import (
 from repro.engine.cache import ArtifactCache
 from repro.engine.deltas import DeltaLog, GraphDelta, UpdateResult, as_delta, random_delta
 from repro.engine.service import CutEngine
-from repro.engine.stages import run_pipeline
 
 __all__ = [
     "CutEngine",
@@ -48,5 +48,4 @@ __all__ = [
     "TreeIndex",
     "graph_fingerprint",
     "combine_fingerprint",
-    "run_pipeline",
 ]

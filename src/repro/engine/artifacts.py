@@ -10,8 +10,9 @@ immutable value object carrying
   change the graph, the seed, or a parameter the stage depends on and
   the key changes with it, deterministically — and
 * the NumPy generator state **after** the stage ran, so a warm query
-  resumes the randomness stream exactly where a cold run would be
-  (the same mechanism checkpoint/resume uses; see
+  resumes the randomness stream exactly where a cold run would be.
+  Checkpoint/resume is this same mechanism: the resilient driver's
+  checkpoint persists these artifacts (see
   :mod:`repro.resilience.checkpointing`).
 
 Artifacts are plain data: building one never touches a ledger, and a
@@ -122,6 +123,16 @@ class PackedForest:
     skeleton_edges: float
     skeleton_p: float
     rng_state: Optional[dict] = None
+
+    def packing_stats(self, num_trees: int) -> dict:
+        """The packing statistics every answer built on this forest
+        reports, for a search over ``num_trees`` selected trees."""
+        return {
+            "num_trees": float(num_trees),
+            "skeleton_edges": self.skeleton_edges,
+            "skeleton_p": self.skeleton_p,
+            "packing_iterations": float(self.packing.iterations),
+        }
 
     @property
     def nbytes(self) -> int:

@@ -20,15 +20,18 @@ deterministic: change the graph, the seed, or a parameter a stage
 depends on and the next query simply misses and rebuilds — nothing is
 ever served stale.
 
-**Parity.** A cold :meth:`min_cut` runs exactly the stage functions
-(and consumes exactly the rng draws, via the per-artifact generator
-snapshots) that one-shot :func:`repro.minimum_cut` runs, so its value,
-side, stats, and ledger charges are bit-identical — by construction,
-and pinned across executor backends in ``tests/test_engine.py``.  The
-per-query 2-respecting search is a pure function of the packed trees
-plus (epsilon, decomposition), so its assembled answer is memoized
-under the ``result`` fingerprint: a *warm* query is a memo hit that
-charges the ledger nothing.
+**One composition.** This class is the only place the stages are
+chained: :func:`repro.minimum_cut` is a cold :meth:`min_cut`, and
+:func:`repro.resilient_minimum_cut` runs each attempt as one over its
+checkpoint's persisting cache.  ``tests/test_engine.py`` pins the cold
+answer — value, side, stats, ledger charges — against the
+straight-through chain in ``tests/reference_pipeline.py`` across
+executor backends.  The per-query 2-respecting search is a pure
+function of the packed trees plus (epsilon, decomposition), so its
+assembled answer is memoized under the ``result`` fingerprint: a *warm*
+query is a memo hit that charges the ledger nothing.  The same slot
+carries the search's per-tree progress while it runs (see
+:meth:`_answer`).
 
 **Batch.** :meth:`min_cut_batch` preprocesses once, then fans the
 independent per-seed queries (tree selection + search) through
@@ -77,8 +80,6 @@ from repro.engine.stages import (
     approximate_stage,
     assemble_result,
     branching_for_epsilon,
-    cut_from_payload,
-    cut_to_payload,
     resolve_max_trees,
     search_stage,
     validate_stage,
@@ -121,11 +122,10 @@ def _batch_search(context, seed) -> tuple:
     ``context`` is the per-batch broadcast ``(graph, packing, max_trees,
     branching, decomposition)``, crossing the pool boundary once per
     dispatch — installed by a pool initializer on the process backend —
-    while each task carries only its seed.  The returned candidate is a
-    payload dict (``CutResult.stats`` is a MappingProxyType, which
-    pickle refuses) plus the branch's private ledger for the caller to
-    absorb.  Tracing is suppressed inside the worker — concurrent
-    branches would race the tracer's span stack.
+    while each task carries only its seed.  Returns the best candidate,
+    the number of trees searched and the branch's private ledger for the
+    caller to absorb.  Tracing is suppressed inside the worker —
+    concurrent branches would race the tracer's span stack.
     """
     graph, packing, max_trees, branching, decomposition = context
     with obs.suppress_tracing():
@@ -138,7 +138,7 @@ def _batch_search(context, seed) -> tuple:
             decomposition=decomposition,
             ledger=led,
         )
-    return cut_to_payload(best), float(len(parents)), led
+    return best, len(parents), led
 
 
 class CutEngine:
@@ -381,16 +381,10 @@ class CutEngine:
                 self._rng.bit_generator.state = forest.rng_state
             with obs.phase("packing", ledger):
                 parents = select_trees(forest.packing, self._max_trees, self._rng)
-            stats = {
-                "num_trees": float(len(parents)),
-                "skeleton_edges": forest.skeleton_edges,
-                "skeleton_p": forest.skeleton_p,
-                "packing_iterations": float(forest.packing.iterations),
-            }
             art = TreeIndex(
                 self._fp_index,
                 tuple(parents),
-                stats,
+                forest.packing_stats(len(parents)),
                 self._rng.bit_generator.state,
             )
             self.cache.put("index", self._fp_index, art)
@@ -413,11 +407,11 @@ class CutEngine:
     def min_cut(self, *, trace: bool = False) -> CutResult:
         """The bound graph's minimum cut, w.h.p. exact.
 
-        Cold calls charge the full pipeline to the engine's ledger and
-        are bit-identical to :func:`repro.minimum_cut` with the same
-        inputs.  Warm calls are result memo hits: the answer is a pure
-        function of the fingerprint chain, so they return the stored
-        :class:`CutResult` and charge nothing.
+        Cold calls charge the full pipeline to the engine's ledger
+        (:func:`repro.minimum_cut` is exactly such a call).  Warm calls
+        are result memo hits: the answer is a pure function of the
+        fingerprint chain, so they return the stored :class:`CutResult`
+        and charge nothing.
         """
         obs.counters().add("engine.queries")
         if trace and not obs.tracing_active():
@@ -447,25 +441,36 @@ class CutEngine:
         search over the base epoch's packed trees.  A delta-mutated
         graph gets fresh (uncached, charge-free) validation: the cached
         artifact answers for the base graph only.
+
+        The search reports its progress into the same memo slot: after
+        each tree the slot holds ``(trees_done, best)``, and the final
+        :class:`CutResult` overwrites it.  A query that finds such a
+        partial (an interrupted search, or a checkpoint being resumed)
+        continues the search from it.
         """
         mutated = len(self._delta_log) > 0
         early = validate_stage(self._graph) if mutated else self._validated().early
         if early is None:
             approx = self._approximated(ledger)
             index = self._indexed(ledger)
-        res = self.cache.get("result", self._fp_current)
-        if res is not None:
+        fp = self._fp_current
+        res = self.cache.get("result", fp)
+        if isinstance(res, CutResult):
             return res
         if early is not None:
             res = early
         else:
+            trees_done, best = res if res is not None else (0, None)
             branching = branching_for_epsilon(self._graph.n, self.params.epsilon)
             best = search_stage(
                 self._graph,
-                list(index.tree_parents),
+                index.tree_parents,
                 branching=branching,
                 decomposition=self.params.decomposition,
                 ledger=ledger,
+                trees_done=trees_done,
+                best=best,
+                on_tree=lambda done, so_far: self.cache.put("result", fp, (done, so_far)),
             )
             res = assemble_result(
                 best, dict(index.packing_stats), approx.lambda_underestimate, branching
@@ -474,7 +479,7 @@ class CutEngine:
             res = dataclasses.replace(
                 res, stats={**dict(res.stats), **self._epoch_stats()}
             )
-        self.cache.put("result", self._fp_current, res)
+        self.cache.put("result", fp, res)
         return res
 
     def min_cut_batch(
@@ -549,23 +554,15 @@ class CutEngine:
                 context=context, context_key=context_key,
             )
         ledger.absorb_parallel(*(led for _, _, led in outcomes))
-        results = []
-        for payload, num_trees, _ in outcomes:
-            stats = {
-                "num_trees": num_trees,
-                "skeleton_edges": forest.skeleton_edges,
-                "skeleton_p": forest.skeleton_p,
-                "packing_iterations": float(forest.packing.iterations),
-            }
-            results.append(
-                assemble_result(
-                    cut_from_payload(payload),
-                    stats,
-                    approx.lambda_underestimate,
-                    branching,
-                )
+        return [
+            assemble_result(
+                best,
+                forest.packing_stats(num_trees),
+                approx.lambda_underestimate,
+                branching,
             )
-        return results
+            for best, num_trees, _ in outcomes
+        ]
 
     def update(
         self,

@@ -1,11 +1,6 @@
 """The exact pipeline's stage functions, defined once.
 
-Historically the Section 3 → 4.2 → 4.1 pipeline body lived inside
-:func:`repro.core.mincut.minimum_cut`; every other consumer (the
-resilient driver, the apps) re-ran it from a bare ``Graph``.  This
-module is the single home of the staged body:
-
-``validate → approximate → sparsify → pack → index → search``
+``validate → approximate → sparsify → pack → index → search → assemble``
 
 * :func:`validate_stage` — trivial/degenerate inputs (and the one place
   disconnected graphs short-circuit);
@@ -18,19 +13,17 @@ module is the single home of the staged body:
   (Theorem 4.2), the only stage that runs per *query*;
 * :func:`assemble_result` — final stats/counter assembly.
 
-:func:`run_pipeline` composes them into the one-shot run that
-:func:`repro.core.mincut.minimum_cut` and the resilient driver execute
-(including the per-stage checkpoint hooks), and
-:class:`repro.engine.CutEngine` runs the same functions with each
-stage's artifact cached between queries — so engine-mediated results
-are bit-identical to direct ones by construction, not by testing alone
-(the tests pin it anyway).
+:class:`repro.engine.CutEngine` is the one composition of these
+functions: :func:`repro.minimum_cut` and
+:func:`repro.resilient_minimum_cut` run it cold, and it caches each
+stage's artifact between queries.  ``tests/reference_pipeline.py``
+chains them straight through as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +31,11 @@ from repro import obs
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.graphs.graph import Graph
 from repro.graphs.validate import ensure_finite_weights
-from repro.packing.karger import build_cut_skeleton, pack_skeleton, select_trees
+# bench/layers.py times the packing functions under this module's names
+# too (ROADMAP open item 1 retires that name-patch table)
+from repro.packing.karger import build_cut_skeleton, pack_skeleton, select_trees  # noqa: F401
 from repro.params import CutPipelineParams
-from repro.pram.ledger import Ledger, NULL_LEDGER
+from repro.pram.ledger import Ledger
 from repro.resilience.budget import checkpoint as _checkpoint
 from repro.results import CutResult
 from repro.sparsify.hierarchy import HierarchyParams
@@ -53,9 +48,6 @@ __all__ = [
     "assemble_result",
     "resolve_max_trees",
     "branching_for_epsilon",
-    "run_pipeline",
-    "cut_to_payload",
-    "cut_from_payload",
 ]
 
 
@@ -70,35 +62,6 @@ def branching_for_epsilon(n: int, epsilon: Optional[float]) -> int:
     if epsilon is None or n < 2:
         return 2
     return max(2, int(round(n**epsilon)))
-
-
-def restore_rng(rng: np.random.Generator, payload: dict) -> None:
-    """Rewind ``rng`` to the state snapshotted when ``payload`` was saved,
-    so a resumed pipeline consumes exactly the draws an uninterrupted one
-    would (the bit-identical-resume contract)."""
-    state = payload.get("rng_state")
-    if state is not None:
-        rng.bit_generator.state = state
-
-
-def cut_to_payload(res: CutResult) -> dict:
-    """A picklable snapshot of a search-stage candidate (``CutResult.stats``
-    is a MappingProxyType, which pickle refuses)."""
-    return {
-        "value": res.value,
-        "side": np.asarray(res.side, dtype=bool),
-        "witness_edges": res.witness_edges,
-        "stats": dict(res.stats),
-    }
-
-
-def cut_from_payload(payload: dict) -> CutResult:
-    return CutResult(
-        value=payload["value"],
-        side=payload["side"],
-        witness_edges=payload["witness_edges"],
-        stats=payload["stats"],
-    )
 
 
 def resolve_max_trees(
@@ -153,46 +116,38 @@ def approximate_stage(
 
 def search_stage(
     graph: Graph,
-    tree_parents: List[np.ndarray],
+    tree_parents: Sequence[np.ndarray],
     *,
     branching: int,
     decomposition: str,
     ledger: Ledger,
-    rng: Optional[np.random.Generator] = None,
-    hooks=None,
     trees_done: int = 0,
     best: Optional[CutResult] = None,
+    on_tree: Optional[Callable[[int, CutResult], None]] = None,
 ) -> CutResult:
     """The per-query stage: every candidate tree's minimum 2-respecting
     cut (Theorem 4.2), searched in logically-parallel ledger branches.
 
-    ``hooks``/``trees_done``/``best`` carry the checkpoint/resume
-    protocol of :mod:`repro.resilience.checkpointing`: each finished
-    tree is persisted (with the rng state), and a resumed call skips the
-    first ``trees_done`` trees.
+    ``trees_done``/``best`` resume a partial search (the first
+    ``trees_done`` trees were searched already and ``best`` is their
+    minimum); ``on_tree(done, best)`` reports progress after each tree.
     """
     with obs.phase("two-respecting", ledger):
         with ledger.parallel() as par:
-            for i, parent in enumerate(tree_parents):
-                if i < trees_done:
-                    continue  # already searched before the checkpoint
+            for i in range(trees_done, len(tree_parents)):
                 _checkpoint("mincut.tree")
                 with par.branch():
                     res = two_respecting_min_cut(
                         graph,
-                        parent,
+                        tree_parents[i],
                         branching=branching,
                         decomposition=decomposition,
                         ledger=ledger,
                     )
                     if best is None or res.value < best.value:
                         best = res
-                if hooks is not None:
-                    hooks.save_stage(
-                        "trees",
-                        {"done": i + 1, "best": cut_to_payload(best)},
-                        rng=rng,
-                    )
+                if on_tree is not None:
+                    on_tree(i + 1, best)
     assert best is not None  # packing always yields >= 1 tree
     return best
 
@@ -222,99 +177,3 @@ def assemble_result(
         witness_edges=best.witness_edges,
         stats=stats,
     )
-
-
-# ---------------------------------------------------------------------------
-# the one-shot composition
-# ---------------------------------------------------------------------------
-def run_pipeline(
-    graph: Graph,
-    params: CutPipelineParams,
-    approx_value: Optional[float],
-    rng: Optional[np.random.Generator],
-    ledger: Ledger,
-    hooks=None,
-) -> CutResult:
-    """The staged pipeline body behind :func:`repro.minimum_cut`.
-
-    ``hooks`` (duck-typed; see
-    :class:`repro.resilience.checkpointing.PipelineHooks`) persists and
-    restores completed-stage artifacts for checkpoint/resume.  Each
-    ``save_stage`` snapshots the generator state alongside the payload,
-    and each restored stage rewinds ``rng`` to that snapshot, so a
-    resumed run consumes exactly the randomness an uninterrupted one
-    would — the resumed result is bit-identical.  ``hooks=None`` (every
-    direct call) is zero-overhead.
-    """
-    early = validate_stage(graph)
-    if early is not None:
-        return early
-    rng = rng if rng is not None else np.random.default_rng()
-
-    # --- stage 1: O(1)-approximation (Theorem 3.1) -------------------------
-    if approx_value is None:
-        loaded = hooks.load_stage("approx") if hooks is not None else None
-        if loaded is not None:
-            approx_value = loaded["approx_value"]
-            restore_rng(rng, loaded)
-        else:
-            approx_value = approximate_stage(graph, params, rng, ledger)
-            if hooks is not None:
-                hooks.save_stage("approx", {"approx_value": approx_value}, rng=rng)
-    lambda_under = float(approx_value) / 2.0  # Section 4.2's underestimate
-
-    # --- stage 2: skeleton + tree packing (Theorem 4.18) -------------------
-    max_trees = resolve_max_trees(params.max_trees, graph.n)
-    loaded = hooks.load_stage("packing") if hooks is not None else None
-    if loaded is not None:
-        tree_parents = loaded["tree_parents"]
-        packing_stats = loaded["stats"]
-        restore_rng(rng, loaded)
-    else:
-        with obs.phase("packing", ledger):
-            skel = build_cut_skeleton(
-                graph,
-                lambda_under,
-                skeleton_params=params.skeleton,
-                rng=rng,
-                ledger=ledger,
-            )
-            packing = pack_skeleton(
-                skel, packing_iterations=params.packing_iterations, ledger=ledger
-            )
-            tree_parents = select_trees(packing, max_trees, rng)
-        packing_stats = {
-            "num_trees": float(len(tree_parents)),
-            "skeleton_edges": float(skel.skeleton.m),
-            "skeleton_p": float(skel.p),
-            "packing_iterations": float(packing.iterations),
-        }
-        if hooks is not None:
-            hooks.save_stage(
-                "packing",
-                {"tree_parents": list(tree_parents), "stats": packing_stats},
-                rng=rng,
-            )
-
-    # --- stage 3: per-tree 2-respecting min-cut (Theorem 4.2) --------------
-    branching = branching_for_epsilon(graph.n, params.epsilon)
-    best: Optional[CutResult] = None
-    trees_done = 0
-    loaded = hooks.load_stage("trees") if hooks is not None else None
-    if loaded is not None:
-        trees_done = loaded["done"]
-        if loaded["best"] is not None:
-            best = cut_from_payload(loaded["best"])
-        restore_rng(rng, loaded)
-    best = search_stage(
-        graph,
-        tree_parents,
-        branching=branching,
-        decomposition=params.decomposition,
-        ledger=ledger,
-        rng=rng,
-        hooks=hooks,
-        trees_done=trees_done,
-        best=best,
-    )
-    return assemble_result(best, packing_stats, lambda_under, branching)

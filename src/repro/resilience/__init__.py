@@ -50,7 +50,6 @@ __all__ = [
     "supervised_scope",
     "active_supervisor",
     "DriverCheckpoint",
-    "PipelineHooks",
     "run_fingerprint",
     "VerificationReport",
     "verify_cut",
@@ -61,7 +60,6 @@ _LAZY = {
     "resilient_minimum_cut": "repro.resilience.driver",
     "escalated_params": "repro.resilience.driver",
     "DriverCheckpoint": "repro.resilience.checkpointing",
-    "PipelineHooks": "repro.resilience.checkpointing",
     "run_fingerprint": "repro.resilience.checkpointing",
     "VerificationReport": "repro.resilience.verify",
     "verify_cut": "repro.resilience.verify",

@@ -1,34 +1,41 @@
-"""Phase-level checkpoint/resume for the resilient driver.
+"""Checkpoint/resume for the resilient driver.
 
-``resilient_minimum_cut(..., checkpoint=PATH)`` persists completed-phase
-artifacts after every pipeline stage — the Section 3 approximation
-value, the packed candidate trees (plus skeleton/packing statistics),
-each finished per-tree 2-respecting search, and every completed
-attempt's outcome — so a run killed mid-pipeline resumes from the last
-persisted point and produces a **bit-identical** result to an
-uninterrupted run with the same seed.  Two ingredients make that exact
-rather than best-effort:
+``resilient_minimum_cut(..., checkpoint=PATH)`` runs each attempt as a
+cold :class:`repro.engine.CutEngine` query over
+:attr:`DriverCheckpoint.cache`, an
+:class:`~repro.engine.cache.ArtifactCache` whose ``put`` also persists
+the artifact.  The file therefore holds what the engine caches — the
+validation, approximation, packed-forest and tree-index artifacts, and
+the ``result`` slot (``(trees_done, best)`` while the per-tree search
+runs, the answer once it ends) — plus every completed attempt's
+outcome.  A run killed mid-pipeline resumes from the last persisted
+point and produces a **bit-identical** result to an uninterrupted run
+with the same seed.  Two ingredients make that exact rather than
+best-effort:
 
-* every stage snapshot carries the NumPy generator state taken *after*
-  the stage ran; restoring a stage rewinds the generator to it, so the
-  resumed pipeline consumes exactly the draws the uninterrupted one
-  would (see :func:`repro.core.mincut._minimum_cut_impl`);
+* every artifact carries the NumPy generator state taken *after* its
+  stage ran, and the engine parks its generator there on a cache hit —
+  the mechanism a warm engine query uses — so the resumed attempt
+  consumes exactly the draws an uninterrupted one would;
 * the file records a fingerprint of the graph, seed, and pipeline
   parameters; resuming against different inputs is refused with a typed
   :class:`repro.errors.CheckpointError` instead of silently producing a
   chimera result.
 
-File format (versioned, hash-verified)
+File format (version 2, hash-verified)
 --------------------------------------
-The file is a pickle of ``{"version", "sha256", "payload"}`` where
-``payload`` holds the pickled driver state and ``sha256`` is its
-content hash.  Loads verify the version and the hash before unpickling
-the payload; any mismatch — truncation, bit rot, or the
-``checkpoint.corrupt`` fault site — raises
-:class:`~repro.errors.CheckpointError`.  Writes are atomic
-(temp file + ``os.replace``), so a kill during a save leaves the
-previous consistent snapshot in place.  The file is deleted when the
-driver returns a result (the run no longer needs resuming).
+:func:`seal` writes a pickle of ``{"version", "sha256", "payload"}``
+where ``payload`` holds the pickled ``{"fingerprint", "state"}`` and
+``sha256`` is its content hash; ``state`` holds the ``outcomes``, the
+``artifacts`` as ``((stage, fingerprint), artifact)`` pairs and the
+armed fault plan's firing record.  :func:`unseal` verifies the version
+and the hash before unpickling the payload; any mismatch — truncation,
+bit rot, a version-1 file, or the ``checkpoint.corrupt`` fault site —
+raises :class:`~repro.errors.CheckpointError`.  The durable daemon's
+snapshots (:mod:`repro.durability.snapshot`) use the same envelope.
+Writes are atomic (temp file + ``os.replace``), so a kill during a save
+leaves the previous consistent snapshot in place.  The file is deleted
+when the driver returns a result (the run no longer needs resuming).
 
 Fault sites
 -----------
@@ -45,10 +52,12 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from repro.engine.artifacts import combine_fingerprint, graph_fingerprint
+from repro.engine.cache import ArtifactCache
 from repro.errors import CheckpointError, SimulatedCrash
 from repro.obs.counters import counters
 from repro.resilience.faults import (
@@ -60,31 +69,56 @@ from repro.resilience.faults import (
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "PipelineHooks",
     "DriverCheckpoint",
     "run_fingerprint",
+    "seal",
+    "unseal",
 ]
 
 #: bump on any incompatible change to the persisted state layout
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-class PipelineHooks:
-    """Stage-persistence interface consumed by the core pipeline.
+def seal(
+    payload: object,
+    version: int,
+    damage: Optional[Callable[[bytes], bytes]] = None,
+) -> bytes:
+    """The ``{version, sha256, payload}`` envelope around pickled
+    ``payload``.  ``damage`` (a fault site's byte mangler) is applied
+    *after* hashing, so the reader's hash check is what catches it."""
+    raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(raw).hexdigest()
+    if damage is not None:
+        raw = damage(raw)
+    return pickle.dumps(
+        {"version": version, "sha256": digest, "payload": raw},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
 
-    The base class is a no-op; the pipeline treats ``hooks=None`` and an
-    instance of this base identically.  :class:`DriverCheckpoint` hands
-    the pipeline a live implementation via :meth:`DriverCheckpoint.stage_hooks`.
-    """
 
-    def load_stage(self, name: str) -> Optional[dict]:
-        """The persisted payload of stage ``name``, or None."""
-        return None
-
-    def save_stage(
-        self, name: str, payload: dict, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        """Persist ``payload`` as stage ``name``'s completed artifact."""
+def unseal(
+    path: Union[str, Path], version: int, error: Type[Exception], what: str
+) -> object:
+    """Read, verify (version + content hash) and unpickle a :func:`seal`
+    envelope; every failure raises ``error``."""
+    try:
+        with open(path, "rb") as fh:
+            envelope = pickle.load(fh)
+    except Exception as exc:  # noqa: BLE001 - any parse failure is corruption
+        raise error(f"{what} is unreadable ({exc})") from exc
+    found = envelope.get("version") if isinstance(envelope, dict) else None
+    if found != version:
+        raise error(
+            f"{what} has format version {found!r}; this build reads version {version}"
+        )
+    raw = envelope.get("payload", b"")
+    if hashlib.sha256(raw).hexdigest() != envelope.get("sha256"):
+        raise error(f"{what} failed content-hash verification (corrupt)")
+    try:
+        return pickle.loads(raw)
+    except Exception as exc:  # noqa: BLE001 - hash passed but payload bad
+        raise error(f"{what} has an undecodable payload ({exc})") from exc
 
 
 def run_fingerprint(
@@ -96,16 +130,9 @@ def run_fingerprint(
 ) -> str:
     """Content hash binding a checkpoint to one (graph, seed, parameters)
     run — resuming anything else is refused."""
-    h = hashlib.sha256()
-    h.update(np.int64(graph.n).tobytes())
-    h.update(np.int64(graph.m).tobytes())
-    h.update(np.ascontiguousarray(graph.u).tobytes())
-    h.update(np.ascontiguousarray(graph.v).tobytes())
-    h.update(np.ascontiguousarray(graph.w).tobytes())
-    h.update(repr(seed).encode())
-    h.update(repr(params).encode())
-    h.update(repr((max_attempts, spot_check_max_n)).encode())
-    return h.hexdigest()
+    return combine_fingerprint(
+        graph_fingerprint(graph), seed, params, max_attempts, spot_check_max_n
+    )
 
 
 def _corrupt(raw: bytes, seed: int) -> bytes:
@@ -118,43 +145,46 @@ def _corrupt(raw: bytes, seed: int) -> bytes:
     return bytes(data)
 
 
-def _read_state(path: Path) -> dict:
-    """Load, verify (version + content hash), and unpickle a checkpoint."""
-    try:
-        blob = pickle.loads(path.read_bytes())
-    except Exception as exc:  # noqa: BLE001 - any parse failure is corruption
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(blob, dict) or "version" not in blob:
-        raise CheckpointError(f"{path} is not a repro checkpoint file")
-    if blob["version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {blob['version']!r}; "
-            f"this build reads version {CHECKPOINT_VERSION}"
-        )
-    raw = blob.get("payload", b"")
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != blob.get("sha256"):
-        raise CheckpointError(
-            f"checkpoint {path} failed content-hash verification (corrupt)"
-        )
-    try:
-        return pickle.loads(raw)
-    except Exception as exc:  # noqa: BLE001 - hash passed but payload bad
-        raise CheckpointError(f"undecodable checkpoint payload in {path}: {exc}") from exc
+class _PersistedCache(ArtifactCache):
+    """An :class:`ArtifactCache` whose every ``put`` saves the checkpoint."""
+
+    def __init__(self, store: "DriverCheckpoint", entries: list) -> None:
+        super().__init__()
+        self._store = store
+        for (stage, fingerprint), artifact in entries:
+            super().put(stage, fingerprint, artifact)
+        #: keys read back from the file and not recomputed since
+        self._loaded = {key for key, _ in entries}
+
+    def get(self, stage: str, fingerprint: str) -> Optional[object]:
+        artifact = super().get(stage, fingerprint)
+        if artifact is not None and (stage, fingerprint) in self._loaded:
+            counters().add("checkpoint.stage_loads")
+        return artifact
+
+    def put(self, stage: str, fingerprint: str, artifact: object) -> None:
+        super().put(stage, fingerprint, artifact)
+        self._loaded.discard((stage, fingerprint))
+        self._store._save()
+
+    def entries(self) -> list:
+        with self._lock:
+            return list(self._entries.items())
 
 
 class DriverCheckpoint:
     """The resilient driver's persisted progress: attempt outcomes plus
-    the in-flight attempt's completed pipeline stages."""
+    the in-flight attempt's engine artifacts (:attr:`cache`)."""
 
-    def __init__(self, path: Union[str, Path], fingerprint: str) -> None:
+    def __init__(
+        self, path: Union[str, Path], fingerprint: str, state: Optional[dict] = None
+    ) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self.resumed = False
-        self.state: dict = {
-            "outcomes": [],  # [["suspect", value] | ["budget", reason], ...]
-            "pipeline": {"attempt": -1, "stages": {}},
-        }
+        self.resumed = state is not None
+        self.state: dict = state or {"outcomes": [], "artifacts": []}
+        # outcomes: [["suspect", value] | ["budget", None], ...]
+        self.cache = _PersistedCache(self, self.state["artifacts"])
 
     @classmethod
     def open(
@@ -164,28 +194,28 @@ class DriverCheckpoint:
         :class:`CheckpointError` on corruption or fingerprint mismatch),
         otherwise start fresh (an existing file is overwritten on the
         first save)."""
-        inst = cls(path, fingerprint)
-        if resume and inst.path.exists():
-            payload = _read_state(inst.path)
-            if payload.get("fingerprint") != fingerprint:
-                raise CheckpointError(
-                    f"checkpoint {inst.path} was written by a different run "
-                    "(graph/seed/parameter fingerprint mismatch)"
-                )
-            inst.state = payload["state"]
-            inst.resumed = True
-            counters().add("checkpoint.resumes")
-            # restore the armed fault plan's firing record as-of the last
-            # save, so an injected-fault run resumes with exactly the
-            # faults (and hit counters) the crashed run had left — polls
-            # re-executed after the save replay identically
-            plan = _active_plan()
-            snap = inst.state.get("fault_plan")
-            if plan is not None and snap is not None:
-                plan._hits.clear()
-                plan._hits.update(snap["hits"])
-                plan._spent[:] = list(snap["spent"])
-                plan.fired[:] = [tuple(t) for t in snap["fired"]]
+        path = Path(path)
+        if not (resume and path.exists()):
+            return cls(path, fingerprint)
+        payload = unseal(path, CHECKPOINT_VERSION, CheckpointError, f"checkpoint {path}")
+        if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+            raise CheckpointError(
+                f"checkpoint {path} was written by a different run "
+                "(graph/seed/parameter fingerprint mismatch)"
+            )
+        inst = cls(path, fingerprint, payload["state"])
+        counters().add("checkpoint.resumes")
+        # restore the armed fault plan's firing record as-of the last
+        # save, so an injected-fault run resumes with exactly the
+        # faults (and hit counters) the crashed run had left — polls
+        # re-executed after the save replay identically
+        plan = _active_plan()
+        snap = inst.state.get("fault_plan")
+        if plan is not None and snap is not None:
+            plan._hits.clear()
+            plan._hits.update(snap["hits"])
+            plan._spent[:] = list(snap["spent"])
+            plan.fired[:] = [tuple(t) for t in snap["fired"]]
         return inst
 
     # -- driver-level records ----------------------------------------------
@@ -196,17 +226,10 @@ class DriverCheckpoint:
 
     def record_outcome(self, kind: str, value: Optional[float] = None) -> None:
         """Persist one finished attempt (``"suspect"`` or ``"budget"``) and
-        clear the in-flight pipeline stages."""
+        drop its artifacts."""
         self.state["outcomes"].append([kind, value])
-        self.state["pipeline"] = {"attempt": -1, "stages": {}}
+        self.cache.invalidate()
         self._save()
-
-    def stage_hooks(self, attempt: int) -> "_StageHooks":
-        """Hooks persisting attempt ``attempt``'s pipeline stages.  Stale
-        state from a different attempt is discarded."""
-        if self.state["pipeline"]["attempt"] != attempt:
-            self.state["pipeline"] = {"attempt": attempt, "stages": {}}
-        return _StageHooks(self)
 
     def finalize(self) -> None:
         """Delete the checkpoint — the run produced its result."""
@@ -231,16 +254,11 @@ class DriverCheckpoint:
                 "spent": list(plan._spent),
                 "fired": list(plan.fired),
             }
-        raw = pickle.dumps(
+        self.state["artifacts"] = self.cache.entries()
+        blob = seal(
             {"fingerprint": self.fingerprint, "state": self.state},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        digest = hashlib.sha256(raw).hexdigest()
-        if corrupt is not None:
-            raw = _corrupt(raw, corrupt.seed)
-        blob = pickle.dumps(
-            {"version": CHECKPOINT_VERSION, "sha256": digest, "payload": raw},
-            protocol=pickle.HIGHEST_PROTOCOL,
+            CHECKPOINT_VERSION,
+            damage=None if corrupt is None else lambda raw: _corrupt(raw, corrupt.seed),
         )
         tmp = self.path.with_name(self.path.name + ".tmp")
         tmp.write_bytes(blob)
@@ -250,25 +268,3 @@ class DriverCheckpoint:
             raise SimulatedCrash(
                 f"simulated process death after checkpoint save ({self.path})"
             )
-
-
-class _StageHooks(PipelineHooks):
-    """Live hooks bound to one :class:`DriverCheckpoint`'s in-flight attempt."""
-
-    def __init__(self, store: DriverCheckpoint) -> None:
-        self.store = store
-
-    def load_stage(self, name: str) -> Optional[dict]:
-        payload = self.store.state["pipeline"]["stages"].get(name)
-        if payload is not None:
-            counters().add("checkpoint.stage_loads")
-        return payload
-
-    def save_stage(
-        self, name: str, payload: dict, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        payload = dict(payload)
-        if rng is not None:
-            payload["rng_state"] = rng.bit_generator.state
-        self.store.state["pipeline"]["stages"][name] = payload
-        self.store._save()

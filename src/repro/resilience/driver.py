@@ -4,7 +4,9 @@ graceful-degradation fallback chain.
 
 Strategy (``exact`` → ``exact escalated`` → ``stoer_wagner``):
 
-1. run the exact pipeline under a per-attempt slice of the overall
+1. run the exact pipeline — one cold :class:`repro.engine.CutEngine`
+   query on the attempt's seed and parameters — under a per-attempt
+   slice of the overall
    budget (each slice is a geometric share of the budget **still
    remaining**, so a fast failed attempt donates its unused time and
    work to the escalated attempts that follow);
@@ -25,10 +27,10 @@ with seeded backoff instead of failing the run; the collected
 :class:`repro.results.DegradationEvent` records are returned on
 :attr:`repro.results.CutResult.degradations`.
 
-``checkpoint=PATH`` persists completed-phase artifacts (see
-:mod:`repro.resilience.checkpointing`); a killed run re-invoked with the
-same arguments resumes mid-pipeline and returns a **bit-identical**
-result to an uninterrupted run.
+``checkpoint=PATH`` runs each attempt's engine over the checkpoint's
+persisting artifact cache (see :mod:`repro.resilience.checkpointing`);
+a killed run re-invoked with the same arguments resumes mid-pipeline
+and returns a **bit-identical** result to an uninterrupted run.
 
 The returned :class:`repro.results.CutResult` carries provenance —
 ``attempts``, ``fallback_used``, ``verification``, ``degradations`` —
@@ -49,6 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.arena.solvers.stoer_wagner import stoer_wagner
+from repro.engine.service import CutEngine
 from repro.errors import BudgetExceeded, InvalidParameterError
 from repro.graphs.graph import Graph
 from repro.graphs.validate import ensure_finite_weights
@@ -171,16 +174,16 @@ def resilient_minimum_cut(
         Below this size verification includes the exact Stoer–Wagner
         comparison (0 disables it).
     epsilon, max_trees, decomposition, skeleton_params, hierarchy_params:
-        The pipeline knobs forwarded to
-        :func:`repro.core.mincut.minimum_cut`; see
+        The pipeline knobs of each attempt's
+        :class:`repro.engine.CutEngine`; see
         :class:`repro.params.CutPipelineParams` for the documented
         reference.  Skeleton constants escalate on retries.
     pipeline:
         The bundled spelling of those knobs (mutually exclusive with
         passing a non-default individual knob).
     checkpoint:
-        Path of a checkpoint file to persist completed-phase artifacts
-        to (see :mod:`repro.resilience.checkpointing`).  A run killed
+        Path of a checkpoint file to persist each attempt's engine
+        artifacts to (see :mod:`repro.resilience.checkpointing`).  A run killed
         mid-pipeline and re-invoked with the same graph/seed/parameters
         resumes from the last persisted phase and returns a result
         bit-identical to an uninterrupted run.  The file is deleted on
@@ -251,8 +254,6 @@ def _resilient_impl(
     ledger: Ledger,
     clock: Callable[[], float],
 ) -> CutResult:
-    from repro.core.mincut import _minimum_cut_impl
-
     ensure_finite_weights(graph)
 
     work_ledger = ledger
@@ -323,18 +324,17 @@ def _resilient_impl(
             )
             attempts_made += 1
             reg.add("resilience.attempts")
-            hooks = store.stage_hooks(attempt) if store is not None else None
+            engine = CutEngine(
+                graph,
+                rng=np.random.default_rng(attempt_seeds[attempt]),
+                pipeline=attempt_params,
+                ledger=ledger if ledger is not NULL_LEDGER else work_ledger,
+                cache=store.cache if store is not None else None,
+            )
             try:
                 with tracer.span(f"attempt[{attempt}]"):
                     with budget_scope(attempt_budget):
-                        res = _minimum_cut_impl(
-                            graph,
-                            attempt_params,
-                            None,
-                            np.random.default_rng(attempt_seeds[attempt]),
-                            ledger if ledger is not NULL_LEDGER else work_ledger,
-                            hooks=hooks,
-                        )
+                        res = engine.min_cut()
             except BudgetExceeded:
                 # slice (or overall) budget blown: next attempt gets a bigger
                 # slice, unless the overall budget is gone — then fall back

@@ -304,12 +304,15 @@ def inject(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
         _active.reset(token)
 
 
-def poll(site: str) -> Optional[Fault]:
-    """Site hook: the armed fault for ``site`` in this context, or None.
+def poll(site: str, plan: Optional[FaultPlan] = None) -> Optional[Fault]:
+    """Site hook: the armed fault for ``site``, or None.  An explicit
+    ``plan`` (one a durable component was built with) takes precedence
+    over the plan armed in this context.
 
     Free when no plan is armed (one contextvar read).
     """
-    plan = _active.get()
+    if plan is None:
+        plan = _active.get()
     if plan is None:
         return None
     return plan.poll(site)

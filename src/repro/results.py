@@ -139,6 +139,14 @@ class CutResult:
         object.__setattr__(self, "side", np.asarray(self.side, dtype=bool))
         object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
 
+    # pickle refuses a MappingProxyType: ship ``stats`` as a plain dict
+    # (process-pool results, checkpointed artifacts)
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "stats": dict(self.stats)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, stats=MappingProxyType(state["stats"]))
+
     def partition(self) -> Tuple[np.ndarray, np.ndarray]:
         """The two vertex sets of the bipartition."""
         idx = np.arange(self.side.shape[0])

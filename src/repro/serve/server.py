@@ -57,8 +57,8 @@ from repro.resilience.faults import (
     SITE_SERVE_QUEUE_STALL,
     SITE_SERVE_SLOW_CLIENT,
     FaultPlan,
-    active_plan,
     inject,
+    poll,
 )
 from repro.resilience.supervisor import Supervisor, supervised_scope
 from repro.serve.admission import Admitted, AdmissionQueue
@@ -240,10 +240,7 @@ class CutService:
     # fault polling
     # ------------------------------------------------------------------
     def _poll(self, site: str):
-        plan = self.faults if self.faults is not None else active_plan()
-        if plan is None:
-            return None
-        fault = plan.poll(site)
+        fault = poll(site, self.faults)
         if fault is not None:
             self.registry.add("serve.faults_injected")
             self.registry.add(f"serve.fault.{site.split('.', 1)[1]}")

@@ -8,9 +8,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, SimulatedCrash
+from repro.engine import ApproxArtifact
+from repro.durability.snapshot import write_snapshot
+from repro.errors import CheckpointError, RecoveryError, SimulatedCrash
 from repro.graphs.io import write_edgelist
+from repro.obs import CounterRegistry, counting_scope
 from repro.pram.executor import force_executor, shutdown_shared_pools
+from repro.pram.ledger import Ledger
 from repro.resilience import (
     Fault,
     FaultPlan,
@@ -21,13 +25,15 @@ from repro.resilience import (
 from repro.resilience.checkpointing import (
     CHECKPOINT_VERSION,
     DriverCheckpoint,
-    PipelineHooks,
     run_fingerprint,
+    seal,
+    unseal,
 )
 from repro.resilience.faults import (
     SITE_CHECKPOINT_CORRUPT,
     SITE_CHECKPOINT_KILL,
     SITE_CORRUPT_VALUE,
+    SITE_SNAPSHOT_PARTIAL,
 )
 
 from tests.conftest import make_graph
@@ -57,28 +63,33 @@ class TestCheckpointFile:
         path = tmp_path / "a.ckpt"
         store = DriverCheckpoint.open(path, "fp", resume=True)
         store.record_outcome("suspect", 41.5)
-        store.stage_hooks(1).save_stage("approx", {"approx_value": 3.0})
+        store.cache.put("approximate", "fa", ApproxArtifact("fa", 3.0))
         again = DriverCheckpoint.open(path, "fp", resume=True)
         assert again.resumed
         assert again.outcomes == [("suspect", 41.5)]
-        assert again.stage_hooks(1).load_stage("approx")["approx_value"] == 3.0
+        assert again.cache.get("approximate", "fa").approx_value == 3.0
 
-    def test_stage_hooks_reset_between_attempts(self, tmp_path):
-        store = DriverCheckpoint.open(tmp_path / "a.ckpt", "fp")
-        store.stage_hooks(0).save_stage("approx", {"approx_value": 3.0})
-        assert store.stage_hooks(0).load_stage("approx") is not None
-        assert store.stage_hooks(1).load_stage("approx") is None  # new attempt
+    def test_record_outcome_drops_the_attempts_artifacts(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        store = DriverCheckpoint.open(path, "fp")
+        store.cache.put("approximate", "fa", ApproxArtifact("fa", 3.0))
+        assert store.cache.get("approximate", "fa") is not None
+        store.record_outcome("suspect", 1.0)  # the attempt is over
+        assert len(store.cache) == 0
+        again = DriverCheckpoint.open(path, "fp", resume=True)
+        assert again.outcomes == [("suspect", 1.0)]
+        assert len(again.cache) == 0
 
     def test_rng_state_snapshot_roundtrip(self, tmp_path):
         store = DriverCheckpoint.open(tmp_path / "a.ckpt", "fp")
         rng = np.random.default_rng(5)
         rng.random(7)
-        store.stage_hooks(0).save_stage("packing", {"x": 1}, rng=rng)
+        art = ApproxArtifact("fa", 3.0, rng.bit_generator.state)
+        store.cache.put("approximate", "fa", art)
         expect = rng.random()
         loaded = DriverCheckpoint.open(tmp_path / "a.ckpt", "fp", resume=True)
-        payload = loaded.stage_hooks(0).load_stage("packing")
         fresh = np.random.default_rng(0)
-        fresh.bit_generator.state = payload["rng_state"]
+        fresh.bit_generator.state = loaded.cache.get("approximate", "fa").rng_state
         assert fresh.random() == expect
 
     def test_flipped_byte_fails_hash_check(self, tmp_path):
@@ -94,6 +105,14 @@ class TestCheckpointFile:
         path = tmp_path / "a.ckpt"
         path.write_bytes(pickle.dumps({"version": CHECKPOINT_VERSION + 1}))
         with pytest.raises(CheckpointError, match="version"):
+            DriverCheckpoint.open(path, "fp", resume=True)
+
+    def test_version_one_file_rejected(self, tmp_path):
+        # the stage-hook layout before checkpoints persisted engine artifacts
+        path = tmp_path / "a.ckpt"
+        old = {"outcomes": [], "pipeline": {"attempt": 0, "stages": {}}}
+        path.write_bytes(seal({"fingerprint": "fp", "state": old}, 1))
+        with pytest.raises(CheckpointError, match="version 1"):
             DriverCheckpoint.open(path, "fp", resume=True)
 
     def test_garbage_file_rejected(self, tmp_path):
@@ -129,11 +148,6 @@ class TestCheckpointFile:
         DriverCheckpoint.open(path, "fp").record_outcome("budget")
         assert os.listdir(tmp_path) == ["a.ckpt"]
 
-    def test_base_hooks_are_noops(self):
-        hooks = PipelineHooks()
-        assert hooks.load_stage("approx") is None
-        hooks.save_stage("approx", {"x": 1})  # no crash, no effect
-
     def test_fingerprint_sensitivity(self):
         g1, g2 = make_graph(12, 30, seed=1), make_graph(12, 30, seed=2)
         base = run_fingerprint(g1, 0, "params", 3, 200)
@@ -141,6 +155,26 @@ class TestCheckpointFile:
         assert base != run_fingerprint(g2, 0, "params", 3, 200)
         assert base != run_fingerprint(g1, 1, "params", 3, 200)
         assert base != run_fingerprint(g1, 0, "params", 4, 200)
+
+
+class TestEnvelope:
+    """The ``seal``/``unseal`` envelope checkpoints and daemon snapshots
+    share: a fault site's damage lands after hashing, so the content
+    hash — not a lucky unpickle failure — is what refuses the file."""
+
+    def test_damage_is_caught_by_the_hash_check(self, tmp_path):
+        path = tmp_path / "e.bin"
+        path.write_bytes(seal({"x": 1}, 3, damage=lambda raw: raw[: len(raw) // 3]))
+        with pytest.raises(CheckpointError, match="content-hash"):
+            unseal(path, 3, CheckpointError, "envelope")
+        path.write_bytes(seal({"x": 1}, 3))
+        assert unseal(path, 3, CheckpointError, "envelope") == {"x": 1}
+
+    def test_torn_snapshot_fails_the_hash_check(self, tmp_path):
+        plan = FaultPlan(faults=(Fault(SITE_SNAPSHOT_PARTIAL),))
+        with pytest.raises(RecoveryError, match="content-hash"):
+            write_snapshot(str(tmp_path), seq=1, chain="c", payload={}, faults=plan)
+        assert os.listdir(tmp_path) == []  # the torn .tmp never promoted
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +245,33 @@ class TestKillResume:
         plain = resilient_minimum_cut(g, seed=3)
         ck = resilient_minimum_cut(g, seed=3, checkpoint=tmp_path / "c.ckpt")
         assert _result_key(plain) == _result_key(ck)
+
+
+class TestResumeReusesWork:
+    """Bit-identity alone would pass even if a resume silently recomputed
+    everything: a resumed run must also charge less work the further the
+    killed run had got."""
+
+    def test_resumed_work_shrinks_with_progress(self, tmp_path):
+        g = make_graph(24, 80, seed=41)
+        base = Ledger()
+        resilient_minimum_cut(g, seed=7, ledger=base)
+        resumed = {}
+        for kill_at in (0, 1, 3, 7):
+            ck = tmp_path / f"k{kill_at}.ckpt"
+            with pytest.raises(SimulatedCrash):
+                with inject(_kill_plan(kill_at)):
+                    resilient_minimum_cut(g, seed=7, checkpoint=ck)
+            led, reg = Ledger(), CounterRegistry()
+            with counting_scope(reg):
+                resilient_minimum_cut(g, seed=7, checkpoint=ck, ledger=led)
+            resumed[kill_at] = led.work
+            if kill_at >= 1:
+                assert reg.snapshot().get("checkpoint.stage_loads", 0) >= 1
+        works = [resumed[k] for k in (0, 1, 3, 7)]
+        assert max(works) <= base.work
+        assert works == sorted(works, reverse=True)
+        assert resumed[7] < resumed[3]  # per-tree progress was reused
 
 
 # ---------------------------------------------------------------------------

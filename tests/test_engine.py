@@ -2,10 +2,10 @@
 caching, batch fan-out, and weight-only updates.
 
 The headline suite is the parity matrix: across executor backends ×
-tracing, a cold ``CutEngine.min_cut()`` must be
-bit-identical — value, side bytes, stats dict, ledger work/depth, and
-per-phase records — to seed-state :func:`repro.minimum_cut` with the
-same inputs.
+tracing, :func:`repro.minimum_cut` and a cold ``CutEngine.min_cut()``
+must both be bit-identical — value, side bytes, stats dict, ledger
+work/depth, and per-phase records — to the straight-through stage chain
+in ``tests/reference_pipeline.py`` with the same inputs.
 """
 
 import numpy as np
@@ -26,6 +26,8 @@ from repro.obs import CounterRegistry, counting_scope
 from repro.pram.executor import force_executor, shutdown_shared_pools
 from repro.pram.ledger import Ledger
 
+from tests.reference_pipeline import reference_minimum_cut
+
 
 @pytest.fixture
 def graph():
@@ -42,12 +44,23 @@ def _assert_same_result(a, b):
     assert dict(a.stats) == dict(b.stats)
 
 
+def _assert_matches_reference(res, ledger, ref, ref_ledger):
+    _assert_same_result(res, ref)
+    assert res.side.tobytes() == ref.side.tobytes()
+    assert res.witness_edges == ref.witness_edges
+    assert (ledger.work, ledger.depth) == (ref_ledger.work, ref_ledger.depth)
+    assert _phases(ledger) == _phases(ref_ledger)
+
+
 class TestColdParity:
-    """Engine one-shot ≡ minimum_cut, bit for bit."""
+    """``minimum_cut`` ≡ cold ``CutEngine`` ≡ the straight-through
+    reference chain of ``tests/reference_pipeline.py``, bit for bit."""
 
     @pytest.mark.parametrize("backend", ["sync", "process"])
     @pytest.mark.parametrize("trace", [False, True])
     def test_matrix(self, graph, backend, trace):
+        led_ref = Ledger()
+        ref = reference_minimum_cut(graph, rng=np.random.default_rng(21), ledger=led_ref)
         with force_executor(backend):
             led_direct = Ledger()
             direct = repro.minimum_cut(
@@ -59,20 +72,21 @@ class TestColdParity:
             led_engine = Ledger()
             engine = CutEngine(graph, seed=21, ledger=led_engine)
             via_engine = engine.min_cut(trace=trace)
-        _assert_same_result(direct, via_engine)
-        assert (led_direct.work, led_direct.depth) == (
-            led_engine.work,
-            led_engine.depth,
-        )
-        assert _phases(led_direct) == _phases(led_engine)
+        _assert_matches_reference(direct, led_direct, ref, led_ref)
+        _assert_matches_reference(via_engine, led_engine, ref, led_ref)
         if trace:
+            assert direct.report is not None
             assert via_engine.report is not None
 
     def test_shared_rng_matches_seed(self, graph):
-        # passing rng= consumes the stream exactly like minimum_cut does
-        direct = repro.minimum_cut(graph, rng=np.random.default_rng(5))
-        via = CutEngine(graph, rng=np.random.default_rng(5)).min_cut()
-        _assert_same_result(direct, via)
+        # passing rng= consumes the stream exactly like the reference does
+        streams = [np.random.default_rng(5) for _ in range(3)]
+        ref = reference_minimum_cut(graph, rng=streams[0])
+        direct = repro.minimum_cut(graph, rng=streams[1])
+        via = CutEngine(graph, rng=streams[2]).min_cut()
+        _assert_same_result(ref, direct)
+        _assert_same_result(ref, via)
+        assert len({s.random() for s in streams}) == 1
 
     @pytest.mark.parametrize(
         "knobs",
@@ -84,9 +98,22 @@ class TestColdParity:
         ],
     )
     def test_knob_parity(self, graph, knobs):
-        direct = repro.minimum_cut(graph, rng=np.random.default_rng(3), **knobs)
-        via = CutEngine(graph, seed=3, **knobs).min_cut()
-        _assert_same_result(direct, via)
+        pipeline_knobs = {k: v for k, v in knobs.items() if k != "approx_value"}
+        led_ref = Ledger()
+        ref = reference_minimum_cut(
+            graph,
+            repro.CutPipelineParams(**pipeline_knobs),
+            rng=np.random.default_rng(3),
+            approx_value=knobs.get("approx_value"),
+            ledger=led_ref,
+        )
+        led_direct, led_engine = Ledger(), Ledger()
+        direct = repro.minimum_cut(
+            graph, rng=np.random.default_rng(3), ledger=led_direct, **knobs
+        )
+        via = CutEngine(graph, seed=3, ledger=led_engine, **knobs).min_cut()
+        _assert_matches_reference(direct, led_direct, ref, led_ref)
+        _assert_matches_reference(via, led_engine, ref, led_ref)
 
     def test_pipeline_bundle_and_conflicts(self, graph):
         pp = repro.CutPipelineParams(decomposition="bough")
