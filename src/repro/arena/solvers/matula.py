@@ -42,11 +42,9 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 from repro.errors import GraphFormatError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, component_labels
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.results import CutResult
 from repro.sparsify.certificate import certificate_weights
@@ -109,19 +107,12 @@ def matula_approx(
         beyond = np.flatnonzero(current.w - cert_w > _TOL)
         if beyond.size == 0:
             break
-        adj = coo_matrix(
-            (
-                np.ones(beyond.size, dtype=np.int8),
-                (current.u[beyond], current.v[beyond]),
-            ),
-            shape=(current.n, current.n),
-        )
-        k_cc, labels = _scipy_cc(adj, directed=False)
+        k_cc, labels = component_labels(current.n, current.u[beyond], current.v[beyond])
         ledger.charge(work=float(beyond.size + current.n), depth=1.0)
         if k_cc == current.n:  # pragma: no cover - beyond.size>0 implies a merge
             break
         cap_factor = max(cap_factor, k_exact / k_used)
-        current, dense = current.contract(labels.astype(np.int64))
+        current, dense = current.contract(labels)
         mapping = dense[mapping]
     assert best_vertex_preimage is not None
     side = best_vertex_preimage

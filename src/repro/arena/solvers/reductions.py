@@ -34,11 +34,9 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 from repro.errors import GraphFormatError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, component_labels
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.results import CutResult
 
@@ -85,18 +83,11 @@ def reduce_graph(
         sel = np.flatnonzero(pick)
         if sel.size == 0:
             break
-        adj = coo_matrix(
-            (
-                np.ones(sel.size, dtype=np.int8),
-                (current.u[sel], current.v[sel]),
-            ),
-            shape=(current.n, current.n),
-        )
-        k_cc, labels = _scipy_cc(adj, directed=False)
+        k_cc, labels = component_labels(current.n, current.u[sel], current.v[sel])
         ledger.charge(work=float(sel.size + current.n), depth=1.0)
         if k_cc == current.n:  # pragma: no cover - sel nonempty implies merge
             break
-        current, dense = current.contract(labels.astype(np.int64))
+        current, dense = current.contract(labels)
         mapping = dense[mapping]
 
     if best_side is None:

@@ -4,8 +4,9 @@ The representation is a flat edge list in numpy arrays (``u``, ``v``,
 ``w``) — the natural shape for the data-parallel primitives: skeleton
 sampling transforms ``w`` vector-wise, spanning forests operate on edge
 arrays, and the 2-D range structures consume ``(post(u), post(v), w)``
-point arrays built directly from these columns.  A CSR adjacency view is
-built lazily for the few consumers that need per-vertex iteration.
+point arrays built directly from these columns.  A CSR-style incidence
+view is built lazily for the few consumers that need per-vertex
+iteration.
 
 Graphs are immutable; all transformations return new instances sharing
 unchanged arrays.
@@ -17,12 +18,43 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 from repro.errors import GraphFormatError, IntegerWeightsRequired
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "component_labels"]
+
+
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> Tuple[int, np.ndarray]:
+    """``(count, labels)`` of the connected components of edges ``(u, v)``
+    on vertices ``0 .. n-1``.
+
+    Components are numbered ``0 .. count-1`` in the order of their
+    smallest vertex, so vertex 0 is always in component 0.  Min-label
+    hooking with pointer jumping: each round every tree root hooks onto
+    the smallest root adjacent to it, then pointers jump until every
+    vertex points at its root.  A root never rises, so the root of a
+    component is its smallest vertex; a tree that does not hook in one
+    round (a local minimum) is hooked onto in the next, so the number
+    of trees per component halves every two rounds — O(log n) rounds
+    of O(m + n) vectorised work each.  Edges inside one tree are
+    dropped as soon as they are seen, since they can never hook again.
+    """
+    root = np.arange(n, dtype=np.int64)
+    a = np.asarray(u, dtype=np.int64)
+    b = np.asarray(v, dtype=np.int64)
+    while a.size:
+        ra, rb = root[a], root[b]
+        live = ra != rb
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    is_root = root == np.arange(n)
+    ids = np.cumsum(is_root) - 1
+    return int(ids[-1]) + 1 if n else 0, ids[root]
 
 
 class Graph:
@@ -124,15 +156,6 @@ class Graph:
         return int(self.u.nbytes + self.v.nbytes + self.w.nbytes)
 
     @cached_property
-    def _csr(self) -> csr_matrix:
-        """Symmetric CSR adjacency (weights summed over parallel edges)."""
-        m = self.m
-        row = np.concatenate([self.u, self.v])
-        col = np.concatenate([self.v, self.u])
-        dat = np.concatenate([self.w, self.w])
-        return coo_matrix((dat, (row, col)), shape=(self.n, self.n)).tocsr()
-
-    @cached_property
     def weighted_degrees(self) -> np.ndarray:
         """Per-vertex total incident weight (length n)."""
         deg = np.zeros(self.n, dtype=np.float64)
@@ -169,13 +192,9 @@ class Graph:
     # connectivity
     # ------------------------------------------------------------------
     def connected_components(self) -> Tuple[int, np.ndarray]:
-        """``(count, labels)`` of connected components (ignores weights)."""
-        if self.n == 0:
-            return 0, np.empty(0, np.int64)
-        if self.m == 0:
-            return self.n, np.arange(self.n, dtype=np.int64)
-        k, lab = _scipy_cc(self._csr, directed=False)
-        return int(k), lab.astype(np.int64)
+        """``(count, labels)`` of connected components (ignores weights),
+        numbered by smallest vertex; see :func:`component_labels`."""
+        return component_labels(self.n, self.u, self.v)
 
     def is_connected(self) -> bool:
         k, _ = self.connected_components()

@@ -66,16 +66,12 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -98,6 +94,12 @@ from repro.resilience.faults import (
     poll_indexed as _poll_fault,
 )
 from repro.resilience.supervisor import Supervisor, active_supervisor
+
+if TYPE_CHECKING:
+    # loading ProcessPoolExecutor imports multiprocessing (~1.4 MiB);
+    # the default sync backend never needs it, so pools import it where
+    # they are created (_new_pool)
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "parallel_map",
@@ -187,6 +189,16 @@ _pool_lock = threading.Lock()
 _shared_pools: Dict[Tuple[int, str], ProcessPoolExecutor] = {}
 
 
+def _new_pool(
+    workers: int, initializer: Optional[Callable[..., None]], initargs: Tuple
+) -> ProcessPoolExecutor:
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=initializer, initargs=initargs
+    )
+
+
 def _shared_pool(
     workers: int,
     tag: str = "",
@@ -203,9 +215,7 @@ def _shared_pool(
                 # the same shape; drop them so pools don't accumulate
                 for k in [k for k in _shared_pools if k[0] == workers and k[1]]:
                     stale.append(_shared_pools.pop(k))
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            )
+            pool = _new_pool(workers, initializer, initargs)
             _shared_pools[key] = pool
     for old in stale:
         old.shutdown(wait=False, cancel_futures=True)
@@ -411,9 +421,7 @@ def _attempt_process(
 
     transient = timeout is not None
     pool = (
-        ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        )
+        _new_pool(workers, initializer, initargs)
         if transient
         else _shared_pool(workers, tag, initializer, initargs)
     )

@@ -241,6 +241,26 @@ class TestMatula:
             matula_approx(g, max_certificate_rounds=0)
 
 
+class TestContractionParity:
+    """Both contraction solvers number supervertices through
+    ``Graph.connected_components``-style labels (smallest vertex first),
+    so the degree-cut tie-break and the kernel's Stoer-Wagner run see
+    the same vertex order on every release; pinned on an input that
+    contracts more than once."""
+
+    def test_matula_and_viecut_sides_pinned(self):
+        g = planted_cut_graph(30, 30, 2.0, cut_edges=3, rng=3)
+        approx = matula_approx(g, epsilon=0.5)
+        assert approx.value == 2.0
+        assert approx.stats["iterations"] == 3.0
+        assert np.flatnonzero(approx.side).tolist() == list(range(30))
+        exact = viecut_minimum_cut(g)
+        assert exact.value == 2.0
+        assert exact.stats["reduction_rounds"] == 3.0
+        assert exact.stats["kernel_n"] == 57.0
+        assert np.flatnonzero(exact.side).tolist() == list(range(30, 60))
+
+
 class TestDeprecationShims:
     """The solver shims in repro.baselines are gone; what stays there
     (the GG18 stand-in and the cost models) imports without warnings."""

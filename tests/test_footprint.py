@@ -1,0 +1,50 @@
+"""Process-footprint guard: the runtime imports numpy and the stdlib only.
+
+A cut, an engine update and the daemon/CLI modules must not pull in
+scipy (~25 MiB resident, ~0.2 s of import time), and the default
+``sync`` executor must not load ``multiprocessing``, which only the
+``process`` backend's pool needs.  Module loading is per-interpreter,
+so the check runs in a fresh subprocess.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import json, sys
+import numpy as np
+from repro import minimum_cut
+from repro.engine import CutEngine
+from repro.graphs import random_connected_graph
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.split(".")[0] in prefixes)
+
+g = random_connected_graph(30, 90, rng=4, max_weight=5)
+minimum_cut(g, rng=np.random.default_rng(0))
+engine = CutEngine(g, seed=1)
+engine.update(reweight={0: 2.0})
+engine.min_cut()
+cut_path = loaded("scipy", "multiprocessing")
+
+import repro.cli, repro.durability, repro.serve.server
+print(json.dumps({"cut_path": cut_path, "all": loaded("scipy")}))
+"""
+
+
+def test_runtime_loads_neither_scipy_nor_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_EXECUTOR="sync")
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout
+    mods = json.loads(out.strip().splitlines()[-1])
+    assert mods["cut_path"] == [], mods["cut_path"]
+    assert mods["all"] == [], mods["all"]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphFormatError, IntegerWeightsRequired
 from repro.graphs import Graph
+from repro.graphs.graph import component_labels
 
 
 def small():
@@ -123,6 +124,87 @@ class TestQueries:
     def test_is_connected_empty_graph(self):
         assert not Graph.empty(3).is_connected()
         assert Graph.empty(1).is_connected()
+
+
+def bfs_components(n, u, v):
+    """Pure-Python reference: BFS from each unvisited vertex in index
+    order, so components are numbered by their smallest vertex."""
+    adj = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    labels = [-1] * n
+    k = 0
+    for s in range(n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = k
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if labels[y] < 0:
+                        labels[y] = k
+                        nxt.append(y)
+            frontier = nxt
+        k += 1
+    return k, np.array(labels, dtype=np.int64)
+
+
+class TestComponentKernel:
+    """``component_labels`` (the numpy hooking kernel behind
+    ``Graph.connected_components``) against the BFS reference."""
+
+    def check(self, n, u, v):
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        k, labels = component_labels(n, u, v)
+        want_k, want = bfs_components(n, u, v)
+        assert k == want_k
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, want)
+        return labels
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_multigraphs(self, seed):
+        # sparse enough to be disconnected, with isolated vertices and
+        # (from the small vertex range) repeated parallel edges
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        m = int(rng.integers(0, n + n // 2))
+        u = rng.integers(0, n, m)
+        v = (u + rng.integers(1, n, m)) % n
+        dup = rng.integers(0, max(m, 1), m // 4)
+        self.check(n, np.concatenate([u, u[dup]]), np.concatenate([v, v[dup]]))
+
+    def test_no_edges_and_single_vertex(self):
+        empty = np.empty(0, np.int64)
+        np.testing.assert_array_equal(self.check(5, empty, empty), np.arange(5))
+        np.testing.assert_array_equal(self.check(1, empty, empty), [0])
+        assert component_labels(0, empty, empty)[0] == 0
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_long_path(self, reverse):
+        n = 5000
+        perm = np.random.default_rng(1).permutation(n)
+        u, v = perm[:-1], perm[1:]
+        if reverse:
+            u, v = v[::-1], u[::-1]
+        assert (self.check(n, u, v) == 0).all()
+
+    def test_star_centered_on_largest_vertex(self):
+        n = 3000
+        leaves = np.arange(n - 1)
+        labels = self.check(n + 1, leaves, np.full(n - 1, n - 1))
+        assert (labels[:n] == 0).all() and labels[n] == 1  # n is isolated
+
+    def test_numbered_by_smallest_vertex(self):
+        # components {0, 4}, {1, 3, 5}, {2}: ids follow 0 < 1 < 2
+        g = Graph.from_edges(6, [(5, 3), (4, 0), (3, 1)])
+        k, labels = g.connected_components()
+        assert k == 3
+        assert labels.tolist() == [0, 1, 2, 1, 0, 1]
 
 
 class TestTransformations:
