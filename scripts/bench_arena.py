@@ -68,7 +68,7 @@ _KS_MAX_N = 1_000
 #: takes tens of minutes past this; those cells are skipped with an
 #: explicit reason rather than run open-endedly
 _PIPELINE_MAX_M = 400_000
-_PIPELINE_FAMILY = ("paper", "engine", "resilient", "approx-s3")
+_PIPELINE_FAMILY = ("paper", "resilient", "approx-s3")
 
 
 def _roundtrip_ok(path: Path, tmp: Path) -> bool:

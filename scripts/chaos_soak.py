@@ -106,7 +106,6 @@ from repro.resilience.faults import (  # noqa: E402
     inject,
 )
 from repro.serve import (  # noqa: E402
-    InProcServer,
     ProtocolError,
     ServerConfig,
     ServiceClient,
@@ -750,7 +749,7 @@ def run_durability_fault_trial(
             )
             logged: List[Dict[str, object]] = []
             crashed = False
-            with InProcServer(config, faults=plan) as srv:
+            with ThreadedTCPServer(config, faults=plan) as srv:
                 for req in (
                     {"op": "register_tenant", "tenant": "soak",
                      "budget_class": "standard"},

@@ -1,7 +1,7 @@
 """The solver arena: every min-cut algorithm behind one surface.
 
-``repro.arena`` turns the repo's solvers — the paper pipeline, the
-staged engine, the resilient driver — and the classical baselines
+``repro.arena`` turns the repo's solvers — the paper pipeline (a cold
+``CutEngine`` query), the resilient driver — and the classical baselines
 implemented under :mod:`repro.arena.solvers` into uniform
 :class:`Contender` objects: named, kinded, seeded, returning a typed
 :class:`ArenaResult` with the cut value, witness side, wall-clock time

@@ -8,7 +8,6 @@ inside ``_run`` so that listing the registry stays cheap.
 | name              | kind       | wraps                                      |
 +===================+============+============================================+
 | ``paper``         | exact      | :func:`repro.minimum_cut`                  |
-| ``engine``        | exact      | :class:`repro.CutEngine` (cold query)      |
 | ``resilient``     | exact      | :func:`repro.resilient_minimum_cut`        |
 | ``stoer-wagner``  | exact      | the deterministic O(n^3) baseline          |
 | ``viecut-reduce`` | exact      | kernelization -> Stoer–Wagner              |
@@ -31,7 +30,6 @@ from repro.graphs.graph import Graph
 
 __all__ = [
     "PaperContender",
-    "EngineContender",
     "ResilientContender",
     "StoerWagnerContender",
     "ViecutContender",
@@ -56,21 +54,6 @@ class PaperContender(Contender):
 
         res = minimum_cut(graph, rng=np.random.default_rng(seed), ledger=ledger)
         return res.value, res.side, {}
-
-
-@register
-class EngineContender(Contender):
-    """The staged/cached engine, measured cold (:class:`repro.CutEngine`)."""
-
-    name = "engine"
-    kind = "exact"
-
-    def _run(self, graph, *, seed, budget, ledger) -> RunReturn:
-        from repro.engine.service import CutEngine
-
-        engine = CutEngine(graph, seed=seed, ledger=ledger)
-        res = engine.min_cut()
-        return res.value, res.side, {"cache_entries": float(len(engine.cache))}
 
 
 @register

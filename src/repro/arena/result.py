@@ -1,7 +1,7 @@
 """Typed results and the contender protocol for the solver arena.
 
-Every solver in the arena — the paper pipeline, the staged engine, the
-resilient driver, and the classical baselines — is wrapped as a
+Every solver in the arena — the paper pipeline, the resilient driver,
+and the classical baselines — is wrapped as a
 :class:`Contender`: a named, kinded object whose ``solve`` method runs
 the underlying algorithm under a private work/depth ledger and a
 wall-clock timer and returns an :class:`ArenaResult`.

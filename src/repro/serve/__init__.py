@@ -11,11 +11,13 @@ Layout:
 * :mod:`repro.serve.admission` — the bounded admission queue with
   backpressure hints;
 * :mod:`repro.serve.server` — :class:`CutService` (the transport-less
-  core), :class:`TCPServer` (asyncio sockets), :class:`InProcServer`
-  (same-process, for tests and benchmarks);
+  core) and :class:`ThreadedTCPServer`, its one host (an asyncio TCP
+  listener on a background loop, with a blocking in-process
+  ``request`` for tests and benchmarks);
 * :mod:`repro.serve.client` — the blocking :class:`ServiceClient`.
 
-``python -m repro serve`` runs the TCP daemon;
+``python -m repro serve`` runs the daemon in the foreground
+(:func:`run_tcp`);
 ``scripts/bench_service.py`` load-tests it and
 ``scripts/chaos_soak.py --service`` soaks it under injected
 ``serve.*`` faults.  Protocol, tenancy, and shedding semantics are
@@ -34,9 +36,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import (
     CutService,
-    InProcServer,
     ServerConfig,
-    TCPServer,
     ThreadedTCPServer,
     run_tcp,
 )
@@ -53,9 +53,7 @@ from repro.serve.tenancy import (
 __all__ = [
     "ServerConfig",
     "CutService",
-    "TCPServer",
     "ThreadedTCPServer",
-    "InProcServer",
     "run_tcp",
     "ServiceClient",
     "AdmissionQueue",

@@ -50,7 +50,7 @@ _HEADER = struct.Struct(">I")
 
 
 class ServiceClient:
-    """One blocking connection to a :class:`~repro.serve.TCPServer`.
+    """One blocking connection to a :class:`~repro.serve.ThreadedTCPServer`.
 
     Parameters
     ----------
@@ -61,8 +61,6 @@ class ServiceClient:
         timeout raises ``socket.timeout`` (the daemon's contract is that
         this never fires for an accepted request — the chaos soak gates
         on it).
-    max_frame:
-        Frame-size cap, matching the server's.
     """
 
     def __init__(
@@ -71,12 +69,10 @@ class ServiceClient:
         port: int,
         *,
         timeout: float = 60.0,
-        max_frame: int = MAX_FRAME_BYTES,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_frame = max_frame
         self._ids = itertools.count(1)
         self._sock: Optional[socket.socket] = None
         #: reconnects performed by :meth:`call_with_retry` over this
@@ -125,10 +121,10 @@ class ServiceClient:
         if "id" not in request:
             request = {**request, "id": next(self._ids)}
         assert self._sock is not None
-        self._sock.sendall(encode_frame(request, self.max_frame))
+        self._sock.sendall(encode_frame(request))
         header = self._recv_exact(_HEADER.size)
         (length,) = _HEADER.unpack(header)
-        if length > self.max_frame:
+        if length > MAX_FRAME_BYTES:
             raise ProtocolError(f"server announced oversized {length}-byte frame")
         return decode_payload(self._recv_exact(length))
 

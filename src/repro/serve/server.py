@@ -1,5 +1,5 @@
-"""The cut-serving daemon: admission, dispatch, shedding, and the
-TCP / in-process front ends.
+"""The cut-serving daemon: admission, dispatch, shedding, and its one
+threaded front end.
 
 :class:`CutService` is the transport-agnostic core.  One instance owns
 
@@ -63,7 +63,6 @@ from repro.resilience.faults import (
 from repro.resilience.supervisor import Supervisor, supervised_scope
 from repro.serve.admission import Admitted, AdmissionQueue
 from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
     OP_VOCABULARY,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -75,13 +74,11 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.pram.executor import force_executor
-from repro.serve.tenancy import BUDGET_CLASSES, TenantQuota, TenantRegistry
+from repro.serve.tenancy import TenantQuota, TenantRegistry
 
 __all__ = [
     "ServerConfig",
     "CutService",
-    "TCPServer",
-    "InProcServer",
     "ThreadedTCPServer",
     "run_tcp",
 ]
@@ -103,15 +100,27 @@ MAX_BATCH = 64
 MAX_FAULT_DELAY_S = 0.5
 
 
+def _wire_number(value: Any, kind: type, fld: str) -> Any:
+    """``kind(value)`` for one numeric wire field; a value that does not
+    convert is the client's fault, so it raises :class:`ProtocolError`
+    (answered ``bad_request``), never a server-side error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(
+            f"{fld!r} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Knobs of one daemon instance (CLI flags map onto these 1:1)."""
 
     host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral; TCPServer.port reports the binding
+    port: int = 0  # 0 = ephemeral; ThreadedTCPServer.port reports the binding
     queue_depth: int = 64
     workers: int = 4
-    max_frame_bytes: int = MAX_FRAME_BYTES
     default_budget_class: str = "standard"
     #: allow the ``shutdown`` op (the daemon trusts its network; flip
     #: off when fronted by anything less trusted)
@@ -177,7 +186,10 @@ class CutService:
         self.queue = AdmissionQueue(config.queue_depth, clock=clock)
         self._workers: List[asyncio.Task] = []
         self._stopping = False
-        self._shutdown_requested = asyncio.Event()
+        #: set by the ``shutdown`` op; a threading event so that
+        #: :meth:`ThreadedTCPServer.wait_for_shutdown` blocks the caller's
+        #: thread without a task parked on the loop
+        self._shutdown_requested = threading.Event()
         self.durable = None
         if config.state_dir is not None:
             # imported here, not at module top: repro.durability builds
@@ -311,18 +323,15 @@ class CutService:
 
     def _register_tenant(self, request: Dict[str, Any]) -> Dict[str, Any]:
         name = self._required_str(request, "tenant")
-        kwargs: Dict[str, Any] = {}
-        for fld in ("budget_class",):
-            if fld in request:
-                kwargs[fld] = str(request[fld])
+        kwargs: Dict[str, Any] = {
+            "budget_class": str(
+                request.get("budget_class", self.config.default_budget_class)
+            )
+        }
         for fld in ("cache_entries", "cache_bytes", "max_graphs"):
             if fld in request:
-                kwargs[fld] = int(request[fld])
-        quota = (
-            TenantQuota(**kwargs)
-            if kwargs
-            else TenantQuota(budget_class=self.config.default_budget_class)
-        )
+                kwargs[fld] = _wire_number(request[fld], int, fld)
+        quota = TenantQuota(**kwargs)
         created = name not in self.tenants
         tenant = self.tenants.register(name, quota)
         if self.durable is not None and created:
@@ -342,12 +351,13 @@ class CutService:
     async def _register_graph(self, request: Dict[str, Any]) -> Dict[str, Any]:
         tenant = self.tenants.get(self._required_str(request, "tenant"))
         graph_name = self._required_str(request, "graph")
-        n = int(request.get("n", 0))
+        n = _wire_number(request.get("n", 0), int, "n")
         edges = request.get("edges")
         if not isinstance(edges, list):
             raise ProtocolError("register_graph needs an 'edges' list of [u, v, w]")
-        seed = int(request.get("seed", 0))
+        seed = _wire_number(request.get("seed", 0), int, "seed")
         epsilon = request.get("epsilon")
+        eps = None if epsilon is None else _wire_number(epsilon, float, "epsilon")
         warm = bool(request.get("warm", False))
         registry = self.registry
 
@@ -355,7 +365,6 @@ class CutService:
 
         def build():
             graph = Graph.from_edges(n, [tuple(e) for e in edges])
-            eps = None if epsilon is None else float(epsilon)
             with counting_scope(registry), contextlib.ExitStack() as stack:
                 if durable is not None:
                     # registration + WAL append are one atomic unit
@@ -418,7 +427,8 @@ class CutService:
             )
         deadline_s = cls.default_deadline_s
         if request.get("deadline_ms") is not None:
-            deadline_s = min(float(request["deadline_ms"]) / 1000.0, cls.max_deadline_s)
+            deadline_ms = _wire_number(request["deadline_ms"], float, "deadline_ms")
+            deadline_s = min(deadline_ms / 1000.0, cls.max_deadline_s)
             if deadline_s <= 0:
                 return deadline_response(
                     req_id, shed="queued", message="deadline_ms must be positive"
@@ -519,24 +529,14 @@ class CutService:
         request = item.request
         op = request["op"]
         if op == "_stall":
-            return await asyncio.to_thread(
-                self._run_stall, float(request.get("seconds", 0.1)), remaining
-            )
+            seconds = _wire_number(request.get("seconds", 0.1), float, "seconds")
+            return await asyncio.to_thread(self._run_stall, seconds, remaining)
         engine, lock = item.tenant.engine(request["graph"])
-        backend = self._class_backend(item.tenant.quota.budget_class)
+        backend = item.tenant.budget_class.executor_backend
         async with lock:  # CutEngine mutates rng/bindings: serialize per graph
             return await asyncio.to_thread(
                 self._run_query, engine, request, remaining, backend
             )
-
-    def _class_backend(self, budget_class: str) -> Optional[str]:
-        """The executor backend the tenant's budget class pins, or None.
-
-        A pinned ``process`` backend whose pool breaks degrades to
-        ``sync`` through the service's supervisor — queries degrade,
-        not fail."""
-        cls = BUDGET_CLASSES.get(budget_class)
-        return cls.executor_backend if cls is not None else None
 
     def _scoped(self, remaining: float) -> "contextlib.ExitStack":
         """The ambient scopes every query runs under (worker thread):
@@ -567,22 +567,20 @@ class CutService:
         engine,
         request: Dict[str, Any],
         remaining: float,
-        backend: Optional[str] = None,
+        backend: Optional[str],
     ) -> Dict[str, Any]:
         """One engine query on a worker thread, under the service's
         counter registry, supervisor, the request's deadline budget, and
         (when the tenant's budget class pins one) a forced executor
-        backend."""
-        with contextlib.ExitStack() as outer:
-            if backend is not None:
-                outer.enter_context(force_executor(backend))
-            return self._run_query_scoped(engine, request, remaining)
-
-    def _run_query_scoped(
-        self, engine, request: Dict[str, Any], remaining: float
-    ) -> Dict[str, Any]:
+        backend.  A pinned ``process`` backend whose pool breaks
+        degrades to ``sync`` through the supervisor — queries degrade,
+        not fail."""
         op = request["op"]
-        with supervised_scope(self.supervisor), self._scoped(remaining):
+        with contextlib.ExitStack() as scopes:
+            if backend is not None:
+                scopes.enter_context(force_executor(backend))
+            scopes.enter_context(supervised_scope(self.supervisor))
+            scopes.enter_context(self._scoped(remaining))
             fault = self._poll(SITE_SERVE_HANDLER_CRASH)
             if fault is not None:
                 raise RuntimeError("injected handler crash (serve.handler_crash)")
@@ -634,7 +632,9 @@ class CutService:
                     raise ProtocolError(
                         f"batch of {len(seeds)} exceeds the {MAX_BATCH}-seed cap"
                     )
-                results = engine.min_cut_batch([int(s) for s in seeds])
+                results = engine.min_cut_batch(
+                    [_wire_number(s, int, "seeds") for s in seeds]
+                )
                 return {
                     "values": [float(r.value) for r in results],
                     "epoch": engine.epoch,
@@ -644,9 +644,12 @@ class CutService:
     @staticmethod
     def _parse_reweight(weights, message: str):
         if isinstance(weights, dict):
-            return {int(k): float(v) for k, v in weights.items()}
+            return {
+                _wire_number(k, int, "reweight"): _wire_number(v, float, "reweight")
+                for k, v in weights.items()
+            }
         if isinstance(weights, list):
-            return [float(v) for v in weights]
+            return [_wire_number(v, float, "reweight") for v in weights]
         raise ProtocolError(message)
 
     def _parse_update(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -669,7 +672,9 @@ class CutService:
         if remove_edges is not None:
             if not isinstance(remove_edges, list):
                 raise ProtocolError("'remove_edges' must be a list of edge indices")
-            kwargs["remove_edges"] = [int(i) for i in remove_edges]
+            kwargs["remove_edges"] = [
+                _wire_number(i, int, "remove_edges") for i in remove_edges
+            ]
         if reweight is not None:
             kwargs["reweight"] = self._parse_reweight(
                 reweight, "'reweight' must be {edge_index: w} or a full list"
@@ -751,38 +756,63 @@ class CutService:
 
 
 # ---------------------------------------------------------------------------
-# front ends
+# the front end
 # ---------------------------------------------------------------------------
-class TCPServer:
-    """The daemon's socket front end: length-prefixed JSON over TCP.
+class ThreadedTCPServer:
+    """The daemon: a :class:`CutService` and its TCP listener on a
+    private event loop in a daemon thread.
 
-    One connection handles requests strictly in order (clients wanting
-    concurrency open several connections — the load generator and the
-    chaos soak both do).  Malformed framing is answered with one
-    ``bad_request`` response, then the connection closes.
+    Clients reach it over :attr:`port` with
+    :class:`~repro.serve.client.ServiceClient` connections (each handles
+    requests strictly in order; malformed framing earns one
+    ``bad_request``, then the connection closes), or in process through
+    the blocking, thread-safe :meth:`request` — the same admission path
+    minus the socket hop.  :func:`run_tcp` runs it in the foreground.
     """
 
-    def __init__(self, service: CutService) -> None:
-        self.service = service
+    def __init__(self, config: ServerConfig = ServerConfig(), **service_kwargs: Any):
+        self.service = CutService(config, **service_kwargs)
+        self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set = set()
-        self.port: Optional[int] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
 
-    async def start(self) -> "TCPServer":
+    def start(self) -> "ThreadedTCPServer":
+        if self._loop is not None:
+            return self
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="serve-loop", daemon=True
+        )
+        self._thread.start()
+        self._call(self._start(), 10)
+        return self
+
+    def stop(self) -> None:
+        if self._loop is None:
+            return
+        self._call(self._stop(), 30)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10)
+        self._loop.close()
+        self._loop = self._thread = None
+
+    def __enter__(self) -> "ThreadedTCPServer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    async def _start(self) -> None:
         await self.service.start()
         cfg = self.service.config
         self._server = await asyncio.start_server(
             self._on_connection, host=cfg.host, port=cfg.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        return self
 
-    async def serve_until_shutdown(self) -> None:
-        """Serve until the ``shutdown`` op (or cancellation)."""
-        await self.service._shutdown_requested.wait()
-        await self.stop()
-
-    async def stop(self) -> None:
+    async def _stop(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -793,6 +823,24 @@ class TCPServer:
         for writer in list(self._connections):
             writer.close()
         await self.service.stop()
+        # as asyncio.run does: cancel what is left (handlers mid-read),
+        # so no task is destroyed pending when the loop closes
+        rest = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in rest:
+            task.cancel()
+        await asyncio.gather(*rest, return_exceptions=True)
+
+    def request(self, request: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
+        """Submit one request and block for its single typed response."""
+        return self._call(self.service.submit(request), timeout)
+
+    def wait_for_shutdown(self) -> None:
+        """Block until the ``shutdown`` op arrives."""
+        self.service._shutdown_requested.wait()
+
+    def _call(self, coro, timeout: float) -> Any:
+        assert self._loop is not None, "ThreadedTCPServer not started"
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -809,9 +857,7 @@ class TCPServer:
         try:
             while True:
                 try:
-                    request = await read_frame(
-                        reader, service.config.max_frame_bytes
-                    )
+                    request = await read_frame(reader)
                 except ProtocolError as exc:
                     service.registry.add("serve.bad_requests")
                     await write_frame(
@@ -841,140 +887,15 @@ class TCPServer:
                 pass
 
 
-class InProcServer:
-    """A same-process daemon for tests and single-process benchmarks.
-
-    Runs a :class:`CutService` on a private event loop in a daemon
-    thread and exposes the blocking :meth:`request` — the *same*
-    admission, dispatch, and shedding path as TCP, minus the socket
-    hop.  Thread-safe: many client threads may call :meth:`request`
-    concurrently (the chaos soak does).
-    """
-
-    def __init__(self, config: ServerConfig = ServerConfig(), **service_kwargs: Any):
-        self.service = CutService(config, **service_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> "InProcServer":
-        if self._loop is not None:
-            return self
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run() -> None:
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(started.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=run, name="inproc-serve", daemon=True)
-        self._thread.start()
-        started.wait()
-        asyncio.run_coroutine_threadsafe(self.service.start(), self._loop).result(10)
-        return self
-
-    def stop(self) -> None:
-        if self._loop is None:
-            return
-        asyncio.run_coroutine_threadsafe(self.service.stop(), self._loop).result(10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        assert self._thread is not None
-        self._thread.join(timeout=10)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "InProcServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- the client face ----------------------------------------------------
-    def request(self, request: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
-        """Submit one request and block for its single typed response."""
-        assert self._loop is not None, "InProcServer not started"
-        fut = asyncio.run_coroutine_threadsafe(
-            self.service.submit(request), self._loop
-        )
-        return fut.result(timeout)
-
-
-class ThreadedTCPServer:
-    """A :class:`TCPServer` on a private event loop in a daemon thread.
-
-    The blocking counterpart of :class:`InProcServer` for callers that
-    need a real socket in the same process — tests, the load generator,
-    and the chaos soak all start the daemon this way, then talk to it
-    through :class:`~repro.serve.client.ServiceClient` connections.
-    """
-
-    def __init__(self, config: ServerConfig = ServerConfig(), **service_kwargs: Any):
-        self.server = TCPServer(CutService(config, **service_kwargs))
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def service(self) -> CutService:
-        return self.server.service
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None, "ThreadedTCPServer not started"
-        return self.server.port
-
-    def start(self) -> "ThreadedTCPServer":
-        if self._loop is not None:
-            return self
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run() -> None:
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(started.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=run, name="tcp-serve", daemon=True)
-        self._thread.start()
-        started.wait()
-        asyncio.run_coroutine_threadsafe(self.server.start(), self._loop).result(10)
-        return self
-
-    def stop(self) -> None:
-        if self._loop is None:
-            return
-        asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop).result(30)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        assert self._thread is not None
-        self._thread.join(timeout=10)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "ThreadedTCPServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
 def run_tcp(config: ServerConfig, **service_kwargs: Any) -> None:
     """Run the TCP daemon in the foreground until the ``shutdown`` op
-    (requires ``allow_shutdown=True``) or KeyboardInterrupt.  This is
-    what ``python -m repro serve`` calls."""
-
-    async def main() -> None:
-        server = TCPServer(CutService(config, **service_kwargs))
-        await server.start()
-        print(f"repro.serve listening on {config.host}:{server.port}", flush=True)
-        try:
-            await server.serve_until_shutdown()
-        except asyncio.CancelledError:
-            await server.stop()
-            raise
-
+    (requires ``allow_shutdown=True``) or KeyboardInterrupt, then stop
+    it cleanly.  This is what ``python -m repro serve`` calls."""
+    server = ThreadedTCPServer(config, **service_kwargs).start()
+    print(f"repro.serve listening on {config.host}:{server.port}", flush=True)
     try:
-        asyncio.run(main())
+        server.wait_for_shutdown()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.stop()

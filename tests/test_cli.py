@@ -213,3 +213,42 @@ class TestServeCommand:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+    def test_serve_sigint_closes_a_durable_daemon_cleanly(self, tmp_path):
+        # Ctrl-C is the other way a foreground daemon ends: it must exit
+        # 0 with a final snapshot written and nothing on stderr
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        state = tmp_path / "state"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--state-dir", str(state)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"listening on .+:(\d+)", line)
+            assert match, f"no listening line: {line!r}"
+            from repro.serve import ServiceClient
+
+            with ServiceClient("127.0.0.1", int(match.group(1)), timeout=30) as c:
+                assert c.call({"op": "register_tenant", "tenant": "t"})["ok"]
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            assert err == ""
+            assert list(state.glob("snapshot-*.bin"))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)

@@ -43,7 +43,6 @@ from repro.resilience.faults import (
     FaultPlan,
 )
 from repro.serve import (
-    InProcServer,
     ServerConfig,
     ServiceClient,
     TenantQuota,
@@ -501,7 +500,7 @@ class TestServeDurability:
 
     def test_reboot_round_trip(self, tmp_path, graph):
         edges = [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
-        with InProcServer(self._config(tmp_path, snapshot_interval=3)) as srv:
+        with ThreadedTCPServer(self._config(tmp_path, snapshot_interval=3)) as srv:
             srv.request({"op": "register_tenant", "tenant": "t",
                          "budget_class": "standard"})
             srv.request({"op": "register_graph", "tenant": "t", "graph": "g",
@@ -521,7 +520,7 @@ class TestServeDurability:
             metrics = srv.request({"op": "metrics"})
             assert metrics["durability"]["state_dir"] == str(tmp_path)
 
-        with InProcServer(self._config(tmp_path)) as srv2:
+        with ThreadedTCPServer(self._config(tmp_path)) as srv2:
             after = srv2.request(
                 {"op": "graph_info", "tenant": "t", "graph": "g"}
             )
@@ -533,7 +532,7 @@ class TestServeDurability:
 
     def test_noop_updates_not_logged(self, tmp_path, graph):
         edges = [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
-        with InProcServer(self._config(tmp_path)) as srv:
+        with ThreadedTCPServer(self._config(tmp_path)) as srv:
             srv.request({"op": "register_tenant", "tenant": "t",
                          "budget_class": "standard"})
             srv.request({"op": "register_graph", "tenant": "t", "graph": "g",
@@ -547,7 +546,7 @@ class TestServeDurability:
 
     def test_stateless_config_reports_not_durable(self, graph):
         edges = [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
-        with InProcServer(ServerConfig(port=0, workers=1)) as srv:
+        with ThreadedTCPServer(ServerConfig(port=0, workers=1)) as srv:
             srv.request({"op": "register_tenant", "tenant": "t"})
             srv.request({"op": "register_graph", "tenant": "t", "graph": "g",
                          "n": graph.n, "edges": edges, "seed": SEED,

@@ -33,7 +33,6 @@ from repro.resilience.faults import (
 from repro.serve import (
     BUDGET_CLASSES,
     CutService,
-    InProcServer,
     ProtocolError,
     RetryAfter,
     ServerConfig,
@@ -245,7 +244,7 @@ class TestTenancy:
 # ---------------------------------------------------------------------------
 class TestInProcEndToEnd:
     def test_lifecycle_and_parity(self, graph, edges, exact):
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             assert srv.request({"op": "ping", "id": 1})["pong"] is True
             _register(srv, graph, edges)
             resp = srv.request({"op": "min_cut", "tenant": "t", "graph": "g", "id": 2})
@@ -258,7 +257,7 @@ class TestInProcEndToEnd:
             assert again["value"] == exact
 
     def test_noop_update_and_batch(self, graph, edges, exact):
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges)
             srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             rq = srv.request(
@@ -280,7 +279,7 @@ class TestInProcEndToEnd:
     def test_min_cut_after_update_carries_no_update_keys(self, graph, edges):
         from repro.engine.deltas import as_delta
 
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges)
             srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             current = graph
@@ -312,7 +311,7 @@ class TestInProcEndToEnd:
             assert noop["verified"] is True and noop["value"] == resp["value"]
 
     def test_return_side_is_a_valid_cut(self, graph, edges, exact):
-        with InProcServer(ServerConfig()) as srv:
+        with ThreadedTCPServer(ServerConfig()) as srv:
             _register(srv, graph, edges)
             resp = srv.request(
                 {"op": "min_cut", "tenant": "t", "graph": "g", "return_side": True}
@@ -325,7 +324,7 @@ class TestInProcEndToEnd:
             assert float(graph.w[crossing].sum()) == pytest.approx(resp["value"])
 
     def test_typed_errors(self, graph, edges):
-        with InProcServer(ServerConfig()) as srv:
+        with ThreadedTCPServer(ServerConfig()) as srv:
             _register(srv, graph, edges)
             cases = [
                 ({"op": "min_cut", "tenant": "ghost", "graph": "g"}, "UnknownTenant"),
@@ -349,13 +348,13 @@ class TestInProcEndToEnd:
                 assert resp["error"] == code, (request, resp)
 
     def test_non_dict_and_non_string_op_rejected(self):
-        with InProcServer(ServerConfig()) as srv:
+        with ThreadedTCPServer(ServerConfig()) as srv:
             for bad in (["op"], {"op": 7}, {"no_op": "x"}):
                 resp = srv.request(bad)
                 assert resp["type"] == "error" and resp["error"] == "bad_request"
 
     def test_metrics_exposes_counters_queue_and_tenants(self, graph, edges):
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges)
             srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             m = srv.request({"op": "metrics"})
@@ -376,9 +375,72 @@ class TestInProcEndToEnd:
             assert srv.request({"op": "stats"})["counters"]
 
     def test_shutdown_op_gated_by_config(self, graph, edges):
-        with InProcServer(ServerConfig(allow_shutdown=False)) as srv:
+        with ThreadedTCPServer(ServerConfig(allow_shutdown=False)) as srv:
             resp = srv.request({"op": "shutdown"})
             assert resp["type"] == "error" and resp["error"] == "forbidden"
+
+    def test_quota_fields_keep_the_default_budget_class(self, graph, edges):
+        cfg = ServerConfig(default_budget_class="interactive")
+        with ThreadedTCPServer(cfg) as srv:
+            reg = srv.request(
+                {"op": "register_tenant", "tenant": "t", "cache_entries": 8}
+            )
+            assert reg["budget_class"] == "interactive"
+            assert reg["cache_entries"] == 8
+            _register(srv, graph, edges)
+            resp = srv.request(
+                {"op": "update", "tenant": "t", "graph": "g", "reweight": {}}
+            )
+            assert resp["type"] == "error"
+            assert resp["error"] == "mutation_forbidden"
+
+
+#: requests whose numeric fields do not convert: each is the client's
+#: fault, answered ``bad_request`` on a connection that stays usable
+_MALFORMED_NUMBERS = {
+    "deadline_ms": {"op": "min_cut", "tenant": "t", "graph": "g",
+                    "deadline_ms": "soon"},
+    "n": {"op": "register_graph", "tenant": "t", "graph": "h", "n": "five",
+          "edges": []},
+    "seed": {"op": "register_graph", "tenant": "t", "graph": "h", "n": 2,
+             "edges": [[0, 1, 1.0]], "seed": [3]},
+    "epsilon": {"op": "register_graph", "tenant": "t", "graph": "h", "n": 2,
+                "edges": [[0, 1, 1.0]], "epsilon": "tight"},
+    "cache_entries": {"op": "register_tenant", "tenant": "u",
+                      "cache_entries": "many"},
+    "cache_bytes": {"op": "register_tenant", "tenant": "u",
+                    "cache_bytes": None},
+    "max_graphs": {"op": "register_tenant", "tenant": "u",
+                   "max_graphs": {"n": 1}},
+    "seconds": {"op": "_stall", "tenant": "t", "seconds": "long"},
+    "seeds": {"op": "min_cut_batch", "tenant": "t", "graph": "g",
+              "seeds": [1, "two"]},
+    "remove_edges": {"op": "update", "tenant": "t", "graph": "g",
+                     "remove_edges": ["first"]},
+    "reweight_dict": {"op": "update", "tenant": "t", "graph": "g",
+                      "reweight": {"0": "heavy"}},
+    "reweight_list": {"op": "update", "tenant": "t", "graph": "g",
+                      "reweight": ["heavy"]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MALFORMED_NUMBERS))
+def test_malformed_number_is_a_bad_request(graph, edges, field):
+    cfg = ServerConfig(port=0, workers=1, debug_ops=True)
+    with ThreadedTCPServer(cfg) as server:
+        _register(server, graph, edges)
+        with ServiceClient("127.0.0.1", server.port, timeout=30) as client:
+            before = client.call({"op": "metrics"})["counters"]
+            resp = client.request(_MALFORMED_NUMBERS[field])
+            assert well_formed(resp), resp
+            assert resp["type"] == "error" and resp["error"] == "bad_request", resp
+            after = client.call({"op": "metrics"})["counters"]
+            assert after["serve.bad_requests"] == (
+                before.get("serve.bad_requests", 0.0) + 1.0
+            )
+            assert "serve.errors" not in after
+            # the same connection keeps serving
+            assert client.call({"op": "ping"})["pong"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +459,7 @@ class TestAdmissionControl:
 
     def test_queue_full_returns_retry_after(self, graph, edges):
         cfg = ServerConfig(queue_depth=1, workers=1, debug_ops=True)
-        with InProcServer(cfg) as srv:
+        with ThreadedTCPServer(cfg) as srv:
             _register(srv, graph, edges, budget_class="interactive")
             # one _stall on the worker, one in the only queue slot
             t1, b1 = self._spawn(
@@ -425,7 +487,7 @@ class TestAdmissionControl:
 
     def test_tenant_inflight_limit(self, graph, edges):
         cfg = ServerConfig(queue_depth=16, workers=1, debug_ops=True)
-        with InProcServer(cfg) as srv:
+        with ThreadedTCPServer(cfg) as srv:
             # batch class: max_inflight = 4
             _register(srv, graph, edges, budget_class="batch")
             limit = BUDGET_CLASSES["batch"].max_inflight
@@ -447,7 +509,7 @@ class TestAdmissionControl:
 
     def test_deadline_shed_while_queued(self, graph, edges):
         cfg = ServerConfig(queue_depth=4, workers=1, debug_ops=True)
-        with InProcServer(cfg) as srv:
+        with ThreadedTCPServer(cfg) as srv:
             _register(srv, graph, edges)
             t1, b1 = self._spawn(
                 srv, {"op": "_stall", "tenant": "t", "seconds": 1.0}
@@ -467,7 +529,7 @@ class TestAdmissionControl:
 
     def test_deadline_shed_inflight_at_checkpoint(self, graph, edges):
         cfg = ServerConfig(queue_depth=4, workers=1, debug_ops=True)
-        with InProcServer(cfg) as srv:
+        with ThreadedTCPServer(cfg) as srv:
             _register(srv, graph, edges)
             t0 = time.monotonic()
             resp = srv.request(
@@ -483,7 +545,7 @@ class TestAdmissionControl:
             assert m["counters"]["serve.shed_inflight"] == 1.0
 
     def test_non_positive_deadline_shed_immediately(self, graph, edges):
-        with InProcServer(ServerConfig()) as srv:
+        with ThreadedTCPServer(ServerConfig()) as srv:
             _register(srv, graph, edges)
             resp = srv.request(
                 {"op": "min_cut", "tenant": "t", "graph": "g", "deadline_ms": 0}
@@ -570,7 +632,7 @@ class TestServeFaults:
         plan = FaultPlan(
             faults=(Fault(site=SITE_SERVE_HANDLER_CRASH, at=0),), name="crash"
         )
-        with InProcServer(ServerConfig(workers=1), faults=plan) as srv:
+        with ThreadedTCPServer(ServerConfig(workers=1), faults=plan) as srv:
             _register(srv, graph, edges)
             first = srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             assert well_formed(first)
@@ -588,7 +650,7 @@ class TestServeFaults:
             faults=(Fault(site=SITE_SERVE_QUEUE_STALL, at=0, scale=2.0),),
             name="stall",
         )
-        with InProcServer(ServerConfig(workers=1), faults=plan) as srv:
+        with ThreadedTCPServer(ServerConfig(workers=1), faults=plan) as srv:
             _register(srv, graph, edges)
             resp = srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             assert resp["type"] == "result" and resp["value"] == exact
@@ -736,7 +798,7 @@ class TestOverloadContract:
             ),
             name="storm",
         )
-        with InProcServer(cfg, faults=plan) as srv:
+        with ThreadedTCPServer(cfg, faults=plan) as srv:
             _register(srv, graph, edges, budget_class="interactive")
             responses = []
             lock = threading.Lock()
@@ -786,7 +848,7 @@ class TestBackendSelection:
         assert BUDGET_CLASSES["standard"].executor_backend is None
 
     def test_batch_request_runs_on_process(self, graph, edges, exact):
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges, budget_class="batch")
             batch = srv.request(
                 {"op": "min_cut_batch", "tenant": "t", "graph": "g",
@@ -806,7 +868,7 @@ class TestBackendSelection:
 
     def test_pool_break_degrades_to_sync(self, graph, edges, exact):
         plan = FaultPlan((Fault(site=SITE_POOL_BREAK),), name="pool_break")
-        with InProcServer(ServerConfig(queue_depth=8, workers=2), faults=plan) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2), faults=plan) as srv:
             _register(srv, graph, edges, budget_class="batch")
             batch = srv.request(
                 {"op": "min_cut_batch", "tenant": "t", "graph": "g",
@@ -826,8 +888,9 @@ class TestBackendSelection:
             assert counters.get("supervisor.degradations", 0) == 1
 
     def test_standard_class_leaves_backend_alone(self, graph, edges):
-        with InProcServer(ServerConfig(queue_depth=8, workers=2)) as srv:
+        with ThreadedTCPServer(ServerConfig(queue_depth=8, workers=2)) as srv:
             _register(srv, graph, edges, budget_class="standard")
             resp = srv.request({"op": "min_cut", "tenant": "t", "graph": "g"})
             assert resp["type"] == "result"
-            assert srv.service._class_backend("standard") is None
+            tenant = srv.service.tenants.get("t")
+            assert tenant.budget_class.executor_backend is None

@@ -346,9 +346,9 @@ class TestServeUpdate:
         return [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
 
     def _server(self):
-        from repro.serve import InProcServer, ServerConfig
+        from repro.serve import ServerConfig, ThreadedTCPServer
 
-        return InProcServer(ServerConfig(queue_depth=16, workers=2))
+        return ThreadedTCPServer(ServerConfig(queue_depth=16, workers=2))
 
     def _register(self, srv, graph, edges, **tenant_kwargs):
         srv.request({"op": "register_tenant", "tenant": "t", **tenant_kwargs})
