@@ -124,7 +124,6 @@ def _cmd_cut(args: argparse.Namespace) -> int:
         print(f"attempts {res.attempts}")
         print(f"fallback {res.fallback_used or 'none'}")
         print(f"verified {int(res.verification.ok if res.verification else 0)}")
-        print(f"degradations {len(res.degradations)}")
     if trace:
         _write_trace(res, args.trace)
     return 0

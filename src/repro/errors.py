@@ -81,23 +81,6 @@ class UpdateVerificationError(ReproError):
     hand back an answer its own certificates reject."""
 
 
-class BranchErrors(ReproError):
-    """Aggregate of every failure collected by a hardened
-    :func:`repro.pram.executor.parallel_map` run.
-
-    Attributes
-    ----------
-    failures:
-        ``[(item_index, exception), ...]`` — every branch that still
-        failed after its per-item retries, in item order.
-    """
-
-    def __init__(self, failures) -> None:
-        self.failures = list(failures)
-        lines = ", ".join(f"[{i}] {type(e).__name__}: {e}" for i, e in self.failures)
-        super().__init__(f"{len(self.failures)} parallel branch(es) failed: {lines}")
-
-
 class NotConnectedError(ReproError):
     """Raised by routines that require a connected input graph."""
 

@@ -1,18 +1,18 @@
 """Optional *real* execution backends for coarse-grained parallel loops.
 
 The accounting in :mod:`repro.pram.ledger` is the primary experimental
-instrument (see DESIGN.md); this module exists so examples and the
-wall-clock harness can also run independent coarse-grained units (trees
-in a packing, layers of a hierarchy, sweep configurations) on a real
-executor.  Two backends are available, selected by the
-``REPRO_EXECUTOR`` environment variable or :func:`force_executor`:
+instrument (see DESIGN.md); this module exists so independent
+coarse-grained units can also run on a real executor.  Its one library
+caller is :meth:`repro.engine.CutEngine.min_cut_batch` (one branch per
+seed); the wall-clock harness times it directly.  Two backends are
+available, selected by the ``REPRO_EXECUTOR`` environment variable or
+:func:`force_executor`:
 
 ``sync`` (default)
     An in-line sequential loop: deterministic, no start-up cost, and
     each branch runs in a copy of the caller's :mod:`contextvars`
     context, so fault plans and budgets armed in the caller are visible
-    inside branches.  Cooperative timeouts need concurrency and are
-    ignored.
+    inside branches.
 ``process``
     A lazily-created module-level :class:`ProcessPoolExecutor` for
     coarse branches that are pure-Python bound (CPython's GIL keeps a
@@ -27,15 +27,10 @@ executor.  Two backends are available, selected by the
     into each worker by a pool initializer, not re-pickled per item.
 
 Robustness: one failed branch must not destroy the whole pool.
-:func:`parallel_map` supports per-item retries, per-item timeouts, and
-error aggregation — with ``on_error="aggregate"`` every branch runs to
-completion and the failures are raised together as one
-:class:`repro.errors.BranchErrors`.  Shared pools are reserved for
-untimed calls: a call with a ``timeout`` gets a private pool, because a
-timed-out branch keeps its worker occupied and must not poison the
-shared pool for later callers.  A broken shared process pool (a worker
-died) is evicted so the next attempt starts fresh, and any
-``BaseException`` escaping a shared-pool dispatch (``KeyboardInterrupt``
+:func:`parallel_map` retries failed items (``retries``) and then raises
+the first remaining failure in item order.  A broken shared process
+pool (a worker died) is evicted so the next attempt starts fresh, and
+any ``BaseException`` escaping a dispatch (``KeyboardInterrupt``
 included) evicts the pool on the way out — an interrupted run cannot
 leak a poisoned pool into the next call.
 
@@ -44,12 +39,13 @@ capped by the cgroup CPU quota, so a quota-capped container does not
 oversubscribe the CPUs it is granted.
 
 When a :class:`repro.resilience.supervisor.Supervisor` is armed
-(:func:`~repro.resilience.supervisor.supervised_scope`), every dispatch
-round is routed through its health model: a backend with recent broken
-pools or timeouts is skipped down the ``process → sync`` degradation
-chain (with exponential backoff and recovery probes), and each
-downgrade is recorded as a typed :class:`~repro.results.DegradationEvent`
-plus ``supervisor.*`` counters.
+(:func:`~repro.resilience.supervisor.supervised_scope`, as the serve
+daemon does for ``batch``-class tenants), every dispatch round is
+routed through its health model: a backend with recent broken pools or
+worker hangs is skipped down the ``process → sync`` degradation chain
+(with exponential backoff and recovery probes), and each downgrade is
+recorded as a typed :class:`~repro.results.DegradationEvent` plus
+``supervisor.*`` counters.
 
 Counters: ``executor.dispatches`` / ``executor.items`` /
 ``executor.retries``, plus ``executor.dispatch_overhead_s`` (parent-side
@@ -66,7 +62,7 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -77,14 +73,13 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Literal,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
 )
 
-from repro.errors import BranchErrors, FaultInjected, InvalidParameterError
+from repro.errors import FaultInjected, InvalidParameterError
 from repro.obs.counters import counters
 from repro.resilience.faults import (
     SITE_EXECUTOR_BRANCH,
@@ -179,8 +174,7 @@ def force_executor(backend: str) -> Iterator[None]:
 
 # --------------------------------------------------------------------------
 # Shared process pools: created lazily, keyed by (workers, tag), reused
-# across parallel_map calls.  Only untimed calls use them — see module
-# docstring.  ``tag`` distinguishes context-bound pools (whose workers
+# across parallel_map calls.  ``tag`` distinguishes context-bound pools (whose workers
 # were initialized with one pickled broadcast context) from the plain
 # persistent pool (tag ""), which contextless calls share.
 # --------------------------------------------------------------------------
@@ -298,36 +292,6 @@ def _polled_failure(index: int) -> Optional[Exception]:
     return None
 
 
-def _drain(
-    futures: dict,
-    timeout: Optional[float],
-    results: dict,
-    failures: dict,
-) -> bool:
-    """Collect completed futures into ``results``/``failures``; returns
-    True when a timeout fired (pending branches recorded as failures)."""
-    pending = set(futures)
-    timed_out = False
-    while pending:
-        done, pending = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-        if not done:  # timed out with work still in flight
-            # queued branches are cancelled; running ones cannot be
-            # interrupted, but we stop waiting and record the timeout
-            timed_out = True
-            for fut in pending:
-                fut.cancel()
-                i = futures[fut]
-                failures[i] = TimeoutError(f"branch {i} exceeded {timeout:g}s")
-            break
-        for fut in done:
-            i = futures[fut]
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - aggregated for the caller
-                failures[i] = exc
-    return timed_out
-
-
 def _attempt_sync(
     fn: Callable[..., U], items: List[T], indices: Sequence[int], context: Any
 ) -> Tuple[dict, dict]:
@@ -343,7 +307,7 @@ def _attempt_sync(
         args = (items[i],) if context is _NO_CONTEXT else (context, items[i])
         try:
             results[i] = contextvars.copy_context().run(fn, *args)
-        except Exception as exc:  # noqa: BLE001 - aggregated for the caller
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
             failures[i] = exc
     return results, failures
 
@@ -353,7 +317,6 @@ def _attempt_process(
     items: List[T],
     indices: Sequence[int],
     workers: int,
-    timeout: Optional[float],
     context: Any,
     context_key: Optional[str],
 ) -> Tuple[dict, dict]:
@@ -363,7 +326,7 @@ def _attempt_process(
     plan and the armed budget are polled here in the parent, once per
     branch before dispatch; a hit is recorded as that branch's failure
     (the same per-item semantics an in-branch raise has on ``sync``, so
-    retries and aggregation compose identically).
+    retries compose identically).
 
     A broadcast ``context`` is pickled once and installed by the pool
     initializer of a context-bound pool (keyed by ``context_key`` or the
@@ -419,19 +382,17 @@ def _attempt_process(
             )
         return results, failures
 
-    transient = timeout is not None
-    pool = (
-        _new_pool(workers, initializer, initargs)
-        if transient
-        else _shared_pool(workers, tag, initializer, initargs)
-    )
-    timed_out = False
+    pool = _shared_pool(workers, tag, initializer, initargs)
     reg = counters()
     try:
         futures = {pool.submit(submit_fn, *pack(i)): i for i in dispatch}
         if reg.enabled:
             reg.add("executor.dispatch_overhead_s", time.perf_counter() - t0)
-        timed_out = _drain(futures, timeout, results, failures)
+        for fut, i in futures.items():
+            try:
+                results[i] = fut.result()
+            except Exception as exc:  # noqa: BLE001 - reported to the caller
+                failures[i] = exc
     except BrokenExecutor as exc:
         for i in dispatch:
             if i not in results and i not in failures:
@@ -440,14 +401,9 @@ def _attempt_process(
         # KeyboardInterrupt & friends: the pool may hold in-flight
         # branches; evict so the interrupted run cannot leak a poisoned
         # shared pool into the next call
-        if not transient:
-            _evict_shared_pool(workers, tag)
+        _evict_shared_pool(workers, tag)
         raise
-    finally:
-        if transient:
-            # don't block shutdown on a branch we already declared timed out
-            pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
-    if not transient and any(isinstance(e, BrokenExecutor) for e in failures.values()):
+    if any(isinstance(e, BrokenExecutor) for e in failures.values()):
         # a dead worker poisons the whole ProcessPoolExecutor; evict so
         # the retry (or the next caller) gets a fresh pool
         _evict_shared_pool(workers, tag)
@@ -469,9 +425,10 @@ def _route(requested: str, supervisor: Optional[Supervisor], fn: Callable) -> st
 def _report_health(supervisor: Supervisor, backend: str, failures: dict) -> None:
     """Classify one round's failures into backend-health signals.
 
-    Broken pools and timeouts are substrate failures and enter backoff;
-    branch-level application errors (including injected branch faults)
-    say nothing about the backend and are ignored here.
+    Broken pools and worker hangs (recorded as ``TimeoutError``) are
+    substrate failures and enter backoff; branch-level application
+    errors (including injected branch faults) say nothing about the
+    backend and are ignored here.
     """
     if any(isinstance(e, BrokenExecutor) for e in failures.values()):
         supervisor.record_failure(backend, "broken_pool")
@@ -487,8 +444,6 @@ def parallel_map(
     max_workers: Optional[int] = None,
     *,
     retries: int = 0,
-    timeout: Optional[float] = None,
-    on_error: Literal["raise", "aggregate"] = "raise",
     context: Any = _NO_CONTEXT,
     context_key: Optional[str] = None,
 ) -> List[U]:
@@ -501,19 +456,9 @@ def parallel_map(
         down, at least 1).  Ignored by the ``sync`` backend.
     retries:
         Per-item retry count: a failed item re-runs up to this many
-        extra times before counting as failed.
-    timeout:
-        Per-wait timeout in seconds.  A branch still running once no
-        other branch has completed for ``timeout`` seconds is recorded
-        as a ``TimeoutError`` (cooperative: the worker itself cannot be
-        killed, but the caller stops waiting for it).  Ignored by the
-        ``sync`` backend.
-    on_error:
-        ``"raise"`` re-raises the first failure (after retries), the
-        historical behaviour.  ``"aggregate"`` runs every branch to
-        completion and raises a single :class:`BranchErrors` carrying
-        *all* failures — so one bad branch cannot hide the others'
-        outcomes or poison the pool.
+        extra times before counting as failed.  Every branch of a round
+        runs to completion; once retries are spent the failure of the
+        lowest-indexed item is raised.
     context:
         Optional immutable broadcast argument.  When provided, ``fn``
         is called as ``fn(context, item)`` and the context crosses the
@@ -530,14 +475,12 @@ def parallel_map(
     -----
     With a :class:`~repro.resilience.supervisor.Supervisor` armed in the
     calling context, the backend is re-resolved through its health model
-    before **every** dispatch round: a round whose pool broke (or timed
-    out) records a backend failure, and the retry round runs on the next
-    healthy stage of the degradation chain.
+    before **every** dispatch round: a round whose pool broke (or whose
+    worker hung) records a backend failure, and the retry round runs on
+    the next healthy stage of the degradation chain.
     """
     if retries < 0:
         raise InvalidParameterError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise InvalidParameterError("timeout must be positive seconds")
     items = list(items)
     if not items:
         return []
@@ -558,7 +501,7 @@ def parallel_map(
             reg.add("executor.retries", float(len(todo)))
         if backend == "process":
             got, bad = _attempt_process(
-                fn, items, todo, workers, timeout, context, context_key
+                fn, items, todo, workers, context, context_key
             )
         else:
             got, bad = _attempt_sync(fn, items, todo, context)
@@ -575,8 +518,5 @@ def parallel_map(
             backend = _route(requested, supervisor, fn)
 
     if failed:
-        ordered = sorted(failed.items())
-        if on_error == "raise":
-            raise ordered[0][1]
-        raise BranchErrors(ordered)
+        raise failed[min(failed)]
     return [results[i] for i in range(len(items))]

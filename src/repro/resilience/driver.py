@@ -1,6 +1,6 @@
 """The resilient exact-min-cut driver: verified retries, seed
-escalation, health-aware execution, checkpoint/resume, and the
-graceful-degradation fallback chain.
+escalation, checkpoint/resume, and the graceful-degradation fallback
+chain.
 
 Strategy (``exact`` → ``exact escalated`` → ``stoer_wagner``):
 
@@ -19,25 +19,17 @@ Strategy (``exact`` → ``exact escalated`` → ``stoer_wagner``):
    deterministic O(n^3) :func:`repro.arena.solvers.stoer_wagner.stoer_wagner`
    baseline.
 
-The whole run executes under a
-:class:`repro.resilience.supervisor.Supervisor` — every
-:func:`repro.pram.executor.parallel_map` round consults it, so broken
-pools and worker hangs degrade the backend chain ``process → sync``
-with seeded backoff instead of failing the run; the collected
-:class:`repro.results.DegradationEvent` records are returned on
-:attr:`repro.results.CutResult.degradations`.
-
 ``checkpoint=PATH`` runs each attempt's engine over the checkpoint's
 persisting artifact cache (see :mod:`repro.resilience.checkpointing`);
 a killed run re-invoked with the same arguments resumes mid-pipeline
 and returns a **bit-identical** result to an uninterrupted run.
 
 The returned :class:`repro.results.CutResult` carries provenance —
-``attempts``, ``fallback_used``, ``verification``, ``degradations`` —
-so callers can see how the answer was produced and alert on degraded
-service.  With ``trace=True`` the attached
-:class:`repro.obs.RunReport` additionally shows every attempt (and its
-verification) as a span, with ``resilience.*`` counters.
+``attempts``, ``fallback_used``, ``verification`` — so callers can
+see how the answer was produced and alert on degraded service.  With
+``trace=True`` the attached :class:`repro.obs.RunReport` additionally
+shows every attempt (and its verification) as a span, with
+``resilience.*`` counters.
 """
 
 from __future__ import annotations
@@ -56,16 +48,10 @@ from repro.errors import BudgetExceeded, InvalidParameterError
 from repro.graphs.graph import Graph
 from repro.graphs.validate import ensure_finite_weights
 from repro.params import CutPipelineParams
-from repro.pram.executor import parallel_map
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.resilience.budget import Budget, budget_scope
 from repro.resilience.checkpointing import DriverCheckpoint, run_fingerprint
 from repro.resilience.faults import SITE_CORRUPT_VALUE, poll as _poll_fault
-from repro.resilience.supervisor import (
-    Supervisor,
-    active_supervisor,
-    supervised_scope,
-)
 from repro.resilience.verify import verify_cut
 from repro.results import CutResult
 from repro.sparsify.hierarchy import HierarchyParams
@@ -88,29 +74,6 @@ def escalated_params(base: SkeletonParams, attempt: int) -> SkeletonParams:
     return dataclasses.replace(
         base, sample_constant=base.sample_constant * _ESCALATION**attempt
     )
-
-
-def _probe_unit(i: int) -> int:
-    """Executor health-probe payload (module-level so the process backend
-    can pickle it)."""
-    return i
-
-
-def _probe_executors() -> None:
-    """Dispatch a trivial round through :func:`repro.pram.executor.parallel_map`
-    before committing an attempt to the substrate.
-
-    The probe exercises the real executor path (pool creation, dispatch,
-    collection) under the armed supervisor: a broken pool or hung worker
-    is detected *here*, recorded into the backend health model, and the
-    retry round — like all later dispatches — runs on the next healthy
-    stage of the degradation chain.  Failures are swallowed: the probe's
-    only product is health state.
-    """
-    try:
-        parallel_map(_probe_unit, (0, 1), retries=1, on_error="aggregate")
-    except Exception:  # noqa: BLE001 - health already recorded by the hook
-        pass
 
 
 def _attempt_slice(
@@ -149,7 +112,6 @@ def resilient_minimum_cut(
     pipeline: Optional[CutPipelineParams] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = True,
-    supervisor: Optional[Supervisor] = None,
     ledger: Ledger = NULL_LEDGER,
     clock: Callable[[], float] = time.monotonic,
     trace: bool = False,
@@ -193,11 +155,6 @@ def resilient_minimum_cut(
         ignored and overwritten (fresh run).  Resuming a corrupt file or
         one written by a different run raises
         :class:`repro.errors.CheckpointError`.
-    supervisor:
-        The health supervisor to route executor backends through.  None
-        reuses the ambient :func:`~repro.resilience.supervisor.active_supervisor`
-        if one is armed, else arms a fresh
-        ``Supervisor(seed=seed or 0, clock=clock)`` for this run.
     clock:
         Monotonic-seconds source, injectable for deterministic tests.
     trace:
@@ -207,9 +164,8 @@ def resilient_minimum_cut(
     Returns
     -------
     CutResult with provenance: ``attempts`` (exact attempts consumed),
-    ``fallback_used`` (None or ``"stoer_wagner"``), ``verification``
-    (the final :class:`repro.results.VerificationReport`), and
-    ``degradations`` (typed backend-downgrade events).
+    ``fallback_used`` (None or ``"stoer_wagner"``), and ``verification``
+    (the final :class:`repro.results.VerificationReport`).
     """
     if max_attempts < 1:
         raise InvalidParameterError("max_attempts must be >= 1")
@@ -228,7 +184,7 @@ def resilient_minimum_cut(
         with tracer.activate():
             res = _resilient_impl(
                 graph, params, deadline, max_work, max_attempts, seed,
-                spot_check_max_n, checkpoint, resume, supervisor, ledger, clock,
+                spot_check_max_n, checkpoint, resume, ledger, clock,
             )
         report = tracer.report(
             algorithm="resilient_minimum_cut", n=graph.n, m=graph.m
@@ -236,7 +192,7 @@ def resilient_minimum_cut(
         return dataclasses.replace(res, report=report)
     return _resilient_impl(
         graph, params, deadline, max_work, max_attempts, seed,
-        spot_check_max_n, checkpoint, resume, supervisor, ledger, clock,
+        spot_check_max_n, checkpoint, resume, ledger, clock,
     )
 
 
@@ -250,7 +206,6 @@ def _resilient_impl(
     spot_check_max_n: int,
     checkpoint: Optional[Union[str, Path]],
     resume: bool,
-    supervisor: Optional[Supervisor],
     ledger: Ledger,
     clock: Callable[[], float],
 ) -> CutResult:
@@ -266,12 +221,6 @@ def _resilient_impl(
         ledger=work_ledger if max_work is not None else None,
         clock=clock,
     ).start()
-
-    if supervisor is None:
-        supervisor = active_supervisor() or Supervisor(
-            seed=0 if seed is None else int(seed), clock=clock
-        )
-    event_mark = len(supervisor.events)
 
     store: Optional[DriverCheckpoint] = None
     if checkpoint is not None:
@@ -297,93 +246,84 @@ def _resilient_impl(
     tracer = obs.current_tracer()
     reg = obs.counters()
 
-    with supervised_scope(supervisor):
-        for attempt in range(first_attempt, max_attempts):
-            if overall.exhausted_reason() is not None:
-                break
-            _probe_executors()
-            # satellite (a): slice from what is actually left, so a fast
-            # failed attempt donates its unused budget to later attempts
-            remaining = overall.remaining_time()
-            slice_deadline = _attempt_slice(remaining, attempt, max_attempts)
-            remaining_work = None
-            if max_work is not None:
-                remaining_work = max(max_work - overall.work_spent(), 1e-9)
-            slice_work = _attempt_slice(remaining_work, attempt, max_attempts)
-            attempt_budget = Budget(
-                deadline=slice_deadline,
-                max_work=slice_work,
-                ledger=work_ledger if slice_work is not None else None,
-                clock=clock,
-            )
-            attempt_params = dataclasses.replace(
-                params,
-                skeleton=escalated_params(params.skeleton, attempt),
-                # retries scan thoroughly
-                max_trees=params.max_trees if attempt == 0 else None,
-            )
-            attempts_made += 1
-            reg.add("resilience.attempts")
-            engine = CutEngine(
-                graph,
-                rng=np.random.default_rng(attempt_seeds[attempt]),
-                pipeline=attempt_params,
-                ledger=ledger if ledger is not NULL_LEDGER else work_ledger,
-                cache=store.cache if store is not None else None,
-            )
-            try:
-                with tracer.span(f"attempt[{attempt}]"):
-                    with budget_scope(attempt_budget):
-                        res = engine.min_cut()
-            except BudgetExceeded:
-                # slice (or overall) budget blown: next attempt gets a bigger
-                # slice, unless the overall budget is gone — then fall back
-                reg.add("resilience.budget_exceeded")
-                if store is not None:
-                    store.record_outcome("budget")
-                continue
-
-            fault = _poll_fault(SITE_CORRUPT_VALUE)
-            if fault is not None:
-                res = dataclasses.replace(res, value=res.value * fault.scale + 1.0)
-
-            with tracer.span("verify"):
-                report = verify_cut(
-                    graph, res, spot_check_max_n=spot_check_max_n, ledger=ledger
-                )
-            if report.ok:
-                degradations = supervisor.events_since(event_mark)
-                stats = dict(res.stats)
-                stats["resilience_suspect_values"] = float(len(suspects))
-                stats["resilience_degradations"] = float(len(degradations))
-                if store is not None:
-                    store.finalize()
-                return dataclasses.replace(
-                    res,
-                    stats=stats,
-                    attempts=attempts_made,
-                    fallback_used=None,
-                    verification=report,
-                    degradations=degradations,
-                )
-            suspects.append(res.value)
-            reg.add("resilience.suspect_results")
+    for attempt in range(first_attempt, max_attempts):
+        if overall.exhausted_reason() is not None:
+            break
+        # satellite (a): slice from what is actually left, so a fast
+        # failed attempt donates its unused budget to later attempts
+        remaining = overall.remaining_time()
+        slice_deadline = _attempt_slice(remaining, attempt, max_attempts)
+        remaining_work = None
+        if max_work is not None:
+            remaining_work = max(max_work - overall.work_spent(), 1e-9)
+        slice_work = _attempt_slice(remaining_work, attempt, max_attempts)
+        attempt_budget = Budget(
+            deadline=slice_deadline,
+            max_work=slice_work,
+            ledger=work_ledger if slice_work is not None else None,
+            clock=clock,
+        )
+        attempt_params = dataclasses.replace(
+            params,
+            skeleton=escalated_params(params.skeleton, attempt),
+            # retries scan thoroughly
+            max_trees=params.max_trees if attempt == 0 else None,
+        )
+        attempts_made += 1
+        reg.add("resilience.attempts")
+        engine = CutEngine(
+            graph,
+            rng=np.random.default_rng(attempt_seeds[attempt]),
+            pipeline=attempt_params,
+            ledger=ledger if ledger is not NULL_LEDGER else work_ledger,
+            cache=store.cache if store is not None else None,
+        )
+        try:
+            with tracer.span(f"attempt[{attempt}]"):
+                with budget_scope(attempt_budget):
+                    res = engine.min_cut()
+        except BudgetExceeded:
+            # slice (or overall) budget blown: next attempt gets a bigger
+            # slice, unless the overall budget is gone — then fall back
+            reg.add("resilience.budget_exceeded")
             if store is not None:
-                store.record_outcome("suspect", res.value)
+                store.record_outcome("budget")
+            continue
 
-        # ---- graceful degradation: deterministic sequential baseline ------
-        reg.add("resilience.fallbacks")
-        with tracer.span("fallback:stoer_wagner"):
-            fallback = stoer_wagner(graph)
+        fault = _poll_fault(SITE_CORRUPT_VALUE)
+        if fault is not None:
+            res = dataclasses.replace(res, value=res.value * fault.scale + 1.0)
+
+        with tracer.span("verify"):
             report = verify_cut(
-                graph, fallback, spot_check_max_n=0, ledger=ledger
+                graph, res, spot_check_max_n=spot_check_max_n, ledger=ledger
             )
+        if report.ok:
+            stats = dict(res.stats)
+            stats["resilience_suspect_values"] = float(len(suspects))
+            if store is not None:
+                store.finalize()
+            return dataclasses.replace(
+                res,
+                stats=stats,
+                attempts=attempts_made,
+                fallback_used=None,
+                verification=report,
+            )
+        suspects.append(res.value)
+        reg.add("resilience.suspect_results")
+        if store is not None:
+            store.record_outcome("suspect", res.value)
+
+    # ---- graceful degradation: deterministic sequential baseline ----------
+    reg.add("resilience.fallbacks")
+    with tracer.span("fallback:stoer_wagner"):
+        fallback = stoer_wagner(graph)
+        report = verify_cut(graph, fallback, spot_check_max_n=0, ledger=ledger)
     reason = overall.exhausted_reason()
-    degradations = supervisor.events_since(event_mark)
     stats = dict(fallback.stats)
     stats["resilience_suspect_values"] = float(len(suspects))
     stats["resilience_budget_exhausted"] = 1.0 if reason is not None else 0.0
-    stats["resilience_degradations"] = float(len(degradations))
     if store is not None:
         store.finalize()
     return dataclasses.replace(
@@ -392,5 +332,4 @@ def _resilient_impl(
         attempts=attempts_made,
         fallback_used="stoer_wagner",
         verification=report,
-        degradations=degradations,
     )

@@ -6,10 +6,11 @@ in-line loop (``process``/``sync``), and the resilient driver makes the
 model of the execution substrate itself, so a broken process pool is
 not evicted and then retried on the same backend forever:
 
-* it records backend failures (broken pools, timeouts, injected faults)
-  per backend, applying **exponential backoff with deterministic seeded
-  jitter** — two supervisors built with the same seed block and recover
-  on identical schedules, so faulted runs stay reproducible;
+* it records backend failures (broken pools, worker hangs, injected
+  faults) per backend, applying **exponential backoff with
+  deterministic seeded jitter** — two supervisors built with the same
+  seed block and recover on identical schedules, so faulted runs stay
+  reproducible;
 * :meth:`Supervisor.select` routes a requested backend to the first
   healthy stage of the degradation chain ``process → sync``
   (the final stage is always eligible — an in-line loop cannot break),
@@ -21,10 +22,11 @@ not evicted and then retried on the same backend forever:
   a doubled delay.
 
 :func:`repro.pram.executor.parallel_map` consults the ambient supervisor
-(:func:`active_supervisor`) before every dispatch round, and
-:func:`repro.resilience.driver.resilient_minimum_cut` arms one for the
-whole run (:func:`supervised_scope`) and surfaces the collected events
-as :attr:`repro.results.CutResult.degradations`.
+(:func:`active_supervisor`) before every dispatch round.  The serve
+daemon owns one and arms it (:func:`supervised_scope`) around every
+query; it matters for ``batch``-class tenants, which the daemon pins
+to the process backend, and for the one dispatch that fans out,
+:meth:`repro.engine.CutEngine.min_cut_batch`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import InvalidParameterError
 from repro.obs.counters import counters
 from repro.results import DegradationEvent
 
@@ -51,6 +52,18 @@ __all__ = [
 #: the degradation chain, most capable first; the last stage never
 #: degrades further (a sequential in-line loop cannot break)
 DEGRADATION_CHAIN: Tuple[str, ...] = ("process", "sync")
+
+#: seconds a backend is blocked after its first consecutive failure;
+#: doubles per further consecutive failure
+BASE_BACKOFF = 0.25
+
+#: cap on the un-jittered backoff, in seconds
+MAX_BACKOFF = 30.0
+
+#: uniform multiplicative jitter fraction: the applied backoff is
+#: ``backoff * (1 + JITTER * u)`` with ``u ~ U[0, 1)`` drawn from the
+#: supervisor's ``random.Random(seed)`` stream
+JITTER = 0.25
 
 
 @dataclass
@@ -74,23 +87,15 @@ class BackendHealth:
 class Supervisor:
     """Per-backend health model with backoff, probes, and degradation.
 
+    Selection walks :data:`DEGRADATION_CHAIN` left-to-right starting at
+    the requested backend; backoff follows :data:`BASE_BACKOFF`,
+    :data:`MAX_BACKOFF` and :data:`JITTER`.
+
     Parameters
     ----------
-    chain:
-        The ordered degradation chain; selection walks it left-to-right
-        starting at the requested backend.  The final element is always
-        eligible.
-    base_backoff:
-        Seconds a backend is blocked after its first consecutive
-        failure; doubles per further consecutive failure.
-    max_backoff:
-        Cap on the un-jittered backoff.
-    jitter:
-        Uniform multiplicative jitter fraction: the applied backoff is
-        ``backoff * (1 + jitter * u)`` with ``u ~ U[0, 1)`` drawn from a
-        ``random.Random(seed)`` stream — deterministic given ``seed``.
     seed:
-        Seed of the jitter stream.
+        Seed of the jitter stream, so the backoff schedule is
+        deterministic given it.
     clock:
         Monotonic-seconds source, injectable for deterministic tests.
     """
@@ -98,26 +103,14 @@ class Supervisor:
     def __init__(
         self,
         *,
-        chain: Tuple[str, ...] = DEGRADATION_CHAIN,
-        base_backoff: float = 0.25,
-        max_backoff: float = 30.0,
-        jitter: float = 0.25,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if not chain:
-            raise InvalidParameterError("supervisor chain must not be empty")
-        if base_backoff <= 0 or max_backoff <= 0:
-            raise InvalidParameterError("backoff bounds must be positive seconds")
-        if jitter < 0:
-            raise InvalidParameterError("jitter fraction must be >= 0")
-        self.chain = tuple(chain)
-        self.base_backoff = float(base_backoff)
-        self.max_backoff = float(max_backoff)
-        self.jitter = float(jitter)
         self.clock = clock
         self._rng = random.Random(seed)
-        self.health: Dict[str, BackendHealth] = {b: BackendHealth() for b in self.chain}
+        self.health: Dict[str, BackendHealth] = {
+            b: BackendHealth() for b in DEGRADATION_CHAIN
+        }
         self.events: List[DegradationEvent] = []
 
     # -- selection ----------------------------------------------------------
@@ -126,7 +119,7 @@ class Supervisor:
         h = self.health.get(backend)
         if h is None:
             return True  # unsupervised backend: nothing known against it
-        return h.blocked_until <= self.clock() or backend == self.chain[-1]
+        return h.blocked_until <= self.clock() or backend == DEGRADATION_CHAIN[-1]
 
     def select(self, requested: str) -> str:
         """The first healthy backend at or below ``requested`` in the chain.
@@ -136,13 +129,13 @@ class Supervisor:
         from ``requested``; marks an expired-backoff selection as a
         recovery probe (``supervisor.probes``).
         """
-        if requested not in self.chain:
+        if requested not in DEGRADATION_CHAIN:
             return requested  # not part of the supervised chain
         now = self.clock()
-        start = self.chain.index(requested)
-        for backend in self.chain[start:]:
+        start = DEGRADATION_CHAIN.index(requested)
+        for backend in DEGRADATION_CHAIN[start:]:
             h = self.health[backend]
-            if h.blocked_until > now and backend != self.chain[-1]:
+            if h.blocked_until > now and backend != DEGRADATION_CHAIN[-1]:
                 continue
             if h.consecutive > 0 and not h.probing and h.blocked_until <= now:
                 # backoff expired: let exactly this attempt probe recovery
@@ -161,15 +154,16 @@ class Supervisor:
                 self.events.append(event)
                 counters().add("supervisor.degradations")
             return backend
-        return self.chain[-1]  # unreachable: the last stage always matches
+        return DEGRADATION_CHAIN[-1]  # unreachable: the last stage always matches
 
     # -- health reporting ---------------------------------------------------
     def record_failure(self, backend: str, reason: str, detail: str = "") -> None:
         """Record a backend-level failure and enter (or extend) backoff.
 
-        ``reason`` is a short slug (``"broken_pool"``, ``"timeout"``,
-        ``"injected"``).  The final chain stage records the failure but
-        is never blocked — there is nothing to degrade to.
+        ``reason`` is a short slug (``"broken_pool"``, ``"timeout"`` for
+        a hung worker, ``"injected"``).  The final chain stage records
+        the failure but is never blocked — there is nothing to degrade
+        to.
         """
         h = self.health.get(backend)
         if h is None:
@@ -179,10 +173,10 @@ class Supervisor:
         h.probing = False
         h.last_reason = reason
         counters().add("supervisor.failures")
-        if backend == self.chain[-1]:
+        if backend == DEGRADATION_CHAIN[-1]:
             return
-        backoff = min(self.max_backoff, self.base_backoff * 2.0 ** (h.consecutive - 1))
-        backoff *= 1.0 + self.jitter * self._rng.random()
+        backoff = min(MAX_BACKOFF, BASE_BACKOFF * 2.0 ** (h.consecutive - 1))
+        backoff *= 1.0 + JITTER * self._rng.random()
         h.blocked_until = self.clock() + backoff
 
     def record_success(self, backend: str) -> None:
@@ -203,8 +197,8 @@ class Supervisor:
         return tuple(self.events[mark:])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sick = [b for b in self.chain if not self.healthy(b)]
-        return f"Supervisor(chain={self.chain}, blocked={sick or 'none'})"
+        sick = [b for b in DEGRADATION_CHAIN if not self.healthy(b)]
+        return f"Supervisor(chain={DEGRADATION_CHAIN}, blocked={sick or 'none'})"
 
 
 _active: ContextVar[Optional[Supervisor]] = ContextVar(

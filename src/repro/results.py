@@ -28,9 +28,8 @@ __all__ = ["CutResult", "ApproxResult", "VerificationReport", "DegradationEvent"
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """One health-driven executor-backend degradation, recorded by
-    :class:`repro.resilience.supervisor.Supervisor` and carried on
-    :attr:`CutResult.degradations`.
+    """One health-driven executor-backend degradation, appended by
+    :class:`repro.resilience.supervisor.Supervisor` to its ``events``.
 
     Attributes
     ----------
@@ -41,7 +40,7 @@ class DegradationEvent:
         down the ``process → sync`` chain).
     reason:
         Why ``backend_from`` was unhealthy: ``"broken_pool"``,
-        ``"timeout"``, or the generic ``"backoff"``.
+        ``"timeout"`` (a hung worker), or the generic ``"backoff"``.
     at:
         Supervisor-clock timestamp (monotonic seconds) of the decision.
     detail:
@@ -116,10 +115,6 @@ class CutResult:
         The :class:`VerificationReport` of the returned answer, when the
         resilient driver verified it; ``None`` for unverified (direct)
         runs.
-    degradations:
-        Typed :class:`DegradationEvent` records of every health-driven
-        executor-backend downgrade the supervisor performed during the
-        run; empty for direct runs and healthy resilient runs.
     report:
         The :class:`repro.obs.RunReport` of a ``trace=True`` run
         (phase spans, counters, trace export); ``None`` otherwise.
@@ -132,7 +127,6 @@ class CutResult:
     attempts: int = 1
     fallback_used: Optional[str] = None
     verification: Optional[VerificationReport] = None
-    degradations: Tuple[DegradationEvent, ...] = ()
     report: Optional["RunReport"] = None
 
     def __post_init__(self) -> None:

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BudgetExceeded, ReproError
 from repro.graphs.graph import Graph
@@ -111,6 +112,24 @@ def _wire_number(value: Any, kind: type, fld: str) -> Any:
             f"{fld!r} must be {'an integer' if kind is int else 'a number'}, "
             f"got {value!r}"
         ) from None
+
+
+def _wire_edges(edges: Any, fld: str) -> List[Tuple[int, int, float]]:
+    """One ``[[u, v, w], ...]`` wire field as ``(u, v, w)`` triples; an
+    entry that is not a 3-item list of numbers raises
+    :class:`ProtocolError` (answered ``bad_request``)."""
+    if not isinstance(edges, list):
+        raise ProtocolError(f"{fld!r} must be a list of [u, v, w]")
+    triples = []
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 3:
+            raise ProtocolError(f"{fld!r} entries must be [u, v, w], got {e!r}")
+        u, v, w = e
+        triples.append(
+            (_wire_number(u, int, fld), _wire_number(v, int, fld),
+             _wire_number(w, float, fld))
+        )
+    return triples
 
 
 @dataclass(frozen=True)
@@ -353,8 +372,6 @@ class CutService:
         graph_name = self._required_str(request, "graph")
         n = _wire_number(request.get("n", 0), int, "n")
         edges = request.get("edges")
-        if not isinstance(edges, list):
-            raise ProtocolError("register_graph needs an 'edges' list of [u, v, w]")
         seed = _wire_number(request.get("seed", 0), int, "seed")
         epsilon = request.get("epsilon")
         eps = None if epsilon is None else _wire_number(epsilon, float, "epsilon")
@@ -364,7 +381,7 @@ class CutService:
         durable = self.durable
 
         def build():
-            graph = Graph.from_edges(n, [tuple(e) for e in edges])
+            graph = Graph.from_edges(n, _wire_edges(edges, "edges"))
             with counting_scope(registry), contextlib.ExitStack() as stack:
                 if durable is not None:
                     # registration + WAL append are one atomic unit
@@ -428,6 +445,10 @@ class CutService:
         deadline_s = cls.default_deadline_s
         if request.get("deadline_ms") is not None:
             deadline_ms = _wire_number(request["deadline_ms"], float, "deadline_ms")
+            if math.isnan(deadline_ms):
+                # Python's json decodes NaN, and min(nan, cap) stays NaN:
+                # the request would run with no deadline at all
+                raise ProtocolError("'deadline_ms' must be a number, got nan")
             deadline_s = min(deadline_ms / 1000.0, cls.max_deadline_s)
             if deadline_s <= 0:
                 return deadline_response(
@@ -666,9 +687,7 @@ class CutService:
             )
         kwargs: Dict[str, Any] = {}
         if add_edges is not None:
-            if not isinstance(add_edges, list):
-                raise ProtocolError("'add_edges' must be a list of [u, v, w]")
-            kwargs["add_edges"] = [tuple(e) for e in add_edges]
+            kwargs["add_edges"] = _wire_edges(add_edges, "add_edges")
         if remove_edges is not None:
             if not isinstance(remove_edges, list):
                 raise ProtocolError("'remove_edges' must be a list of edge indices")

@@ -1,12 +1,10 @@
 """Parallel combinators (repro.pram.combinators) and the hardened
 executor (repro.pram.executor)."""
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.errors import BranchErrors, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.pram import (
     Ledger,
     bulk_charge,
@@ -17,14 +15,6 @@ from repro.pram import (
     preduce,
     pscan_exclusive,
 )
-from repro.pram.executor import force_executor
-
-
-def _slow(x):
-    """Module-level (picklable) branch: item 1 outlives the timeout."""
-    if x == 1:
-        time.sleep(2.0)
-    return x
 
 
 class TestLog2Ceil:
@@ -143,19 +133,19 @@ class TestParallelMap:
             parallel_map(boom, [1, 2, 3])
 
     def test_aggregate_mode_collects_all_failures(self):
-        # one failed branch must not hide the others: every failure is
-        # collected and raised together, successes still computed
+        # one failed branch must not hide the others: every branch runs
+        # to completion, then the lowest-indexed failure is raised
+        ran = []
+
         def boom(x):
+            ran.append(x)
             if x % 2 == 0:
                 raise ValueError(f"even {x}")
             return x
 
-        with pytest.raises(BranchErrors) as ei:
-            parallel_map(boom, [1, 2, 3, 4, 5], on_error="aggregate")
-        failures = ei.value.failures
-        assert [i for i, _ in failures] == [1, 3]
-        assert all(isinstance(e, ValueError) for _, e in failures)
-        assert "2 parallel branch(es) failed" in str(ei.value)
+        with pytest.raises(ValueError, match="even 2"):
+            parallel_map(boom, [1, 2, 3, 4, 5])
+        assert ran == [1, 2, 3, 4, 5]
 
     def test_per_item_retries_recover_flaky_branches(self):
         calls = {}
@@ -170,24 +160,16 @@ class TestParallelMap:
         assert calls[3] == 2  # retried exactly once
 
     def test_retries_exhausted_still_fails(self):
+        calls = []
+
         def always(x):
-            raise RuntimeError("persistent")
+            calls.append(x)
+            raise RuntimeError(f"persistent {x}")
 
-        with pytest.raises(BranchErrors) as ei:
-            parallel_map(always, [1, 2], retries=2, on_error="aggregate")
-        assert len(ei.value.failures) == 2
-
-    def test_timeout_records_slow_branch(self):
-        # sync ignores timeouts by contract; the process backend enforces
-        # them on a private pool
-        with force_executor("process"):
-            with pytest.raises(BranchErrors) as ei:
-                parallel_map(_slow, [0, 1], 2, timeout=0.2, on_error="aggregate")
-        assert [i for i, _ in ei.value.failures] == [1]
-        assert isinstance(ei.value.failures[0][1], TimeoutError)
+        with pytest.raises(RuntimeError, match="persistent 1"):
+            parallel_map(always, [1, 2], retries=2)
+        assert calls == [1, 2] * 3  # every item ran 1 + 2 retries
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             parallel_map(lambda x: x, [1], retries=-1)
-        with pytest.raises(InvalidParameterError):
-            parallel_map(lambda x: x, [1], timeout=0.0)

@@ -3,8 +3,10 @@
 A cut, an engine update and the daemon/CLI modules must not pull in
 scipy (~25 MiB resident, ~0.2 s of import time), and the default
 ``sync`` executor must not load ``multiprocessing``, which only the
-``process`` backend's pool needs.  Module loading is per-interpreter,
-so the check runs in a fresh subprocess.
+``process`` backend's pool needs.  The resilient driver dispatches
+nothing to the executor, so even under ``REPRO_EXECUTOR=process`` it
+starts no pool.  Module loading is per-interpreter, so each check runs
+in a fresh subprocess.
 """
 
 from __future__ import annotations
@@ -48,3 +50,34 @@ def test_runtime_loads_neither_scipy_nor_multiprocessing():
     mods = json.loads(out.strip().splitlines()[-1])
     assert mods["cut_path"] == [], mods["cut_path"]
     assert mods["all"] == [], mods["all"]
+
+
+_RESILIENT_PROBE = """
+import json, sys, tempfile
+from repro.cli import main
+from repro.graphs import random_connected_graph, write_edgelist
+from repro.obs.counters import CounterRegistry, counting_scope
+from repro.resilience import resilient_minimum_cut
+
+g = random_connected_graph(30, 90, rng=4, max_weight=5)
+registry = CounterRegistry()
+with counting_scope(registry), tempfile.TemporaryDirectory() as tmp:
+    resilient_minimum_cut(g, seed=0)
+    write_edgelist(g, tmp + "/g.el")
+    assert main(["cut", tmp + "/g.el", "--deadline", "30"]) == 0
+print(json.dumps({
+    "dispatches": registry.get("executor.dispatches"),
+    "loaded": sorted(m for m in sys.modules if m.startswith("multiprocessing")),
+}))
+"""
+
+
+def test_resilient_driver_starts_no_pool_under_process():
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_EXECUTOR="process")
+    out = subprocess.run(
+        [sys.executable, "-c", _RESILIENT_PROBE],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout
+    probe = json.loads(out.strip().splitlines()[-1])
+    assert probe["loaded"] == [], probe["loaded"]
+    assert probe["dispatches"] == 0.0

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    BranchErrors,
     BudgetExceeded,
     FaultInjected,
     InvalidParameterError,
@@ -408,11 +407,11 @@ class TestExecutorBackends:
         budget = Budget(max_work=5.0, ledger=led).start()
         led.charge(work=10.0, depth=1.0)  # exhaust before dispatch
         with force_executor("process"), budget_scope(budget):
-            with pytest.raises(BranchErrors) as err:
-                parallel_map(_square, [1, 2, 3], on_error="aggregate")
-        failures = err.value.failures
-        assert len(failures) == 3
-        assert all(isinstance(e, BudgetExceeded) for _, e in failures)
+            with pytest.raises(BudgetExceeded) as err:
+                parallel_map(_square, [1, 2, 3])
+        # polled in the parent before the first branch is dispatched
+        assert err.value.site == "executor.branch[0]"
+        assert err.value.reason == "work"
 
     def test_budget_ok_under_process(self):
         led = Ledger()

@@ -400,6 +400,17 @@ class TestInProcEndToEnd:
 _MALFORMED_NUMBERS = {
     "deadline_ms": {"op": "min_cut", "tenant": "t", "graph": "g",
                     "deadline_ms": "soon"},
+    # a NaN deadline would otherwise run with no deadline at all
+    "deadline_ms_nan": {"op": "min_cut", "tenant": "t", "graph": "g",
+                        "deadline_ms": float("nan")},
+    "edges_entry": {"op": "register_graph", "tenant": "t", "graph": "h",
+                    "n": 2, "edges": [["a", 1, 1.0]]},
+    "edges_bare": {"op": "register_graph", "tenant": "t", "graph": "h",
+                   "n": 2, "edges": [7]},
+    "add_edges_entry": {"op": "update", "tenant": "t", "graph": "g",
+                        "add_edges": [["a", 1, 1.0]]},
+    "add_edges_bare": {"op": "update", "tenant": "t", "graph": "g",
+                       "add_edges": [7]},
     "n": {"op": "register_graph", "tenant": "t", "graph": "h", "n": "five",
           "edges": []},
     "seed": {"op": "register_graph", "tenant": "t", "graph": "h", "n": 2,
@@ -424,14 +435,26 @@ _MALFORMED_NUMBERS = {
 }
 
 
+def _raw_request(sock, request):
+    """One request/response round trip that encodes with Python's
+    default ``json.dumps``, which writes ``NaN`` (``ServiceClient``
+    refuses to)."""
+    body = json.dumps(request).encode("utf-8")
+    sock.sendall(struct.pack(">I", len(body)) + body)
+    reader = sock.makefile("rb")
+    (length,) = struct.unpack(">I", reader.read(4))
+    return json.loads(reader.read(length))
+
+
 @pytest.mark.parametrize("field", sorted(_MALFORMED_NUMBERS))
 def test_malformed_number_is_a_bad_request(graph, edges, field):
     cfg = ServerConfig(port=0, workers=1, debug_ops=True)
     with ThreadedTCPServer(cfg) as server:
         _register(server, graph, edges)
-        with ServiceClient("127.0.0.1", server.port, timeout=30) as client:
+        with ServiceClient("127.0.0.1", server.port, timeout=30) as client, \
+                socket.create_connection(("127.0.0.1", server.port), timeout=30) as s:
             before = client.call({"op": "metrics"})["counters"]
-            resp = client.request(_MALFORMED_NUMBERS[field])
+            resp = _raw_request(s, {**_MALFORMED_NUMBERS[field], "id": 1})
             assert well_formed(resp), resp
             assert resp["type"] == "error" and resp["error"] == "bad_request", resp
             after = client.call({"op": "metrics"})["counters"]
@@ -440,7 +463,7 @@ def test_malformed_number_is_a_bad_request(graph, edges, field):
             )
             assert "serve.errors" not in after
             # the same connection keeps serving
-            assert client.call({"op": "ping"})["pong"] is True
+            assert _raw_request(s, {"op": "ping", "id": 2})["pong"] is True
 
 
 # ---------------------------------------------------------------------------

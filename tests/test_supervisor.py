@@ -1,12 +1,10 @@
 """Health-aware execution supervision: backoff, degradation chain,
-recovery probes, executor routing, and the donated-budget attempt slices
-(repro.resilience.supervisor + the supervised parts of pram.executor and
-resilience.driver)."""
+recovery probes, executor routing (repro.resilience.supervisor + the
+supervised parts of pram.executor), and the resilient driver's
+donated-budget attempt slices."""
 
-import numpy as np
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.pram import parallel_map, shutdown_shared_pools
 from repro.pram.executor import force_executor
 from repro.resilience import (
@@ -16,12 +14,10 @@ from repro.resilience import (
     active_supervisor,
     canonical_plans,
     inject,
-    resilient_minimum_cut,
     supervised_scope,
 )
+from repro.resilience import supervisor as supervisor_mod
 from repro.resilience.driver import _attempt_slice
-
-from tests.conftest import make_graph
 
 
 class FakeClock:
@@ -40,6 +36,12 @@ def _probe(x):
     return x * 2
 
 
+@pytest.fixture
+def no_jitter(monkeypatch):
+    """Exact backoff arithmetic: the un-jittered schedule."""
+    monkeypatch.setattr(supervisor_mod, "JITTER", 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Supervisor unit behaviour
 # ---------------------------------------------------------------------------
@@ -52,7 +54,7 @@ class TestSupervisorModel:
 
     def test_failure_enters_backoff_and_degrades(self):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, base_backoff=1.0, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "broken_pool")
         assert not sup.healthy("process")
         assert sup.select("process") == "sync"
@@ -61,21 +63,24 @@ class TestSupervisorModel:
         assert (event.backend_from, event.backend_to) == ("process", "sync")
         assert event.reason == "broken_pool"
 
-    def test_backoff_is_exponential(self):
+    def test_backoff_is_exponential(self, no_jitter):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, base_backoff=1.0, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "timeout")
         first = sup.health["process"].blocked_until - clock()
         sup.record_failure("process", "timeout")
         second = sup.health["process"].blocked_until - clock()
+        assert first == pytest.approx(supervisor_mod.BASE_BACKOFF)
         assert second == pytest.approx(2.0 * first)
 
-    def test_backoff_caps_at_max(self):
+    def test_backoff_caps_at_max(self, no_jitter):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, base_backoff=1.0, max_backoff=4.0, jitter=0.0)
-        for _ in range(10):
+        sup = Supervisor(clock=clock)
+        for _ in range(20):
             sup.record_failure("process", "timeout")
-        assert sup.health["process"].blocked_until - clock() == pytest.approx(4.0)
+        assert sup.health["process"].blocked_until - clock() == pytest.approx(
+            supervisor_mod.MAX_BACKOFF
+        )
 
     def test_jitter_is_deterministic_under_seed(self):
         def schedule(seed):
@@ -90,12 +95,13 @@ class TestSupervisorModel:
         assert schedule(7) == schedule(7)
         assert schedule(7) != schedule(8)
 
-    def test_probe_after_backoff_and_recovery(self):
+    def test_probe_after_backoff_and_recovery(self, no_jitter):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, base_backoff=1.0, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "broken_pool")
         assert sup.select("process") == "sync"  # still blocked
-        clock.advance(1.5)  # backoff expired: next selection is a probe
+        # backoff expired: next selection is a probe
+        clock.advance(1.5 * supervisor_mod.BASE_BACKOFF)
         assert sup.select("process") == "process"
         assert sup.health["process"].probing
         sup.record_success("process")
@@ -103,14 +109,16 @@ class TestSupervisorModel:
         assert sup.health["process"].consecutive == 0
         assert sup.healthy("process")
 
-    def test_failed_probe_reenters_longer_backoff(self):
+    def test_failed_probe_reenters_longer_backoff(self, no_jitter):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, base_backoff=1.0, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "timeout")
-        clock.advance(1.5)
+        clock.advance(1.5 * supervisor_mod.BASE_BACKOFF)
         sup.select("process")  # probe allowed through
         sup.record_failure("process", "timeout")  # probe failed
-        assert sup.health["process"].blocked_until - clock() == pytest.approx(2.0)
+        assert sup.health["process"].blocked_until - clock() == pytest.approx(
+            2.0 * supervisor_mod.BASE_BACKOFF
+        )
 
     def test_last_stage_never_blocked(self):
         clock = FakeClock()
@@ -122,14 +130,14 @@ class TestSupervisorModel:
 
     def test_full_chain_degradation(self):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "broken_pool")
         sup.record_failure("sync", "timeout")  # the last stage never blocks
         assert sup.select("process") == "sync"
 
     def test_events_since(self):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "broken_pool")
         sup.select("process")
         mark = len(sup.events)
@@ -142,14 +150,6 @@ class TestSupervisorModel:
         assert sup.select("weird") == "weird"
         sup.record_failure("weird", "timeout")  # no-op, no crash
         assert sup.healthy("weird")
-
-    def test_invalid_construction(self):
-        with pytest.raises(InvalidParameterError):
-            Supervisor(chain=())
-        with pytest.raises(InvalidParameterError):
-            Supervisor(base_backoff=0.0)
-        with pytest.raises(InvalidParameterError):
-            Supervisor(jitter=-0.1)
 
     def test_scope_arms_contextvar(self):
         sup = Supervisor(clock=FakeClock())
@@ -170,7 +170,7 @@ class TestSupervisedExecutor:
         shutdown_shared_pools()
 
     def test_pool_break_degrades_and_recovers_results(self):
-        sup = Supervisor(clock=FakeClock(), jitter=0.0)
+        sup = Supervisor(clock=FakeClock())
         plan = canonical_plans(seed=0)["pool_break"]
         with force_executor("process"), supervised_scope(sup), inject(plan):
             out = parallel_map(_probe, [1, 2, 3], retries=1)
@@ -182,7 +182,7 @@ class TestSupervisedExecutor:
         ]
 
     def test_worker_hang_recorded_as_timeout(self):
-        sup = Supervisor(clock=FakeClock(), jitter=0.0)
+        sup = Supervisor(clock=FakeClock())
         plan = canonical_plans(seed=0)["worker_hang"]
         with force_executor("process"), supervised_scope(sup), inject(plan):
             out = parallel_map(_probe, [1, 2, 3], retries=1)
@@ -200,67 +200,13 @@ class TestSupervisedExecutor:
 
     def test_degraded_backend_skipped_on_fresh_call(self):
         clock = FakeClock()
-        sup = Supervisor(clock=clock, jitter=0.0)
+        sup = Supervisor(clock=clock)
         sup.record_failure("process", "broken_pool")
         with force_executor("process"), supervised_scope(sup):
             out = parallel_map(_probe, [5], retries=0)
         assert out == [10]
         # the dispatch ran on the degraded stage, recorded as an event
         assert sup.events[-1].backend_to == "sync"
-
-
-# ---------------------------------------------------------------------------
-# Driver integration: degradations surface on CutResult
-# ---------------------------------------------------------------------------
-class TestSupervisedDriver:
-    def teardown_method(self):
-        shutdown_shared_pools()
-
-    @pytest.mark.parametrize("plan_name,backend", [
-        ("pool_break", "process"),
-        ("worker_hang", "process"),
-    ])
-    def test_substrate_fault_yields_verified_cut_with_events(
-        self, plan_name, backend
-    ):
-        g = make_graph(30, 100, seed=31)
-        plan = canonical_plans(seed=3)[plan_name]
-        with force_executor(backend), inject(plan):
-            res = resilient_minimum_cut(g, seed=7)
-        assert plan.fired  # the substrate fault really fired
-        assert res.verification is not None and res.verification.ok
-        assert len(res.degradations) >= 1
-        assert res.degradations[0].backend_from == backend
-        assert res.stats["resilience_degradations"] == float(len(res.degradations))
-
-    def test_clean_run_has_no_degradations(self):
-        g = make_graph(25, 80, seed=32)
-        res = resilient_minimum_cut(g, seed=1)
-        assert res.degradations == ()
-        assert res.stats["resilience_degradations"] == 0.0
-
-    def test_caller_supplied_supervisor_collects_events(self):
-        g = make_graph(25, 80, seed=33)
-        sup = Supervisor(jitter=0.0)
-        plan = canonical_plans(seed=3)["pool_break"]
-        with force_executor("process"), inject(plan):
-            res = resilient_minimum_cut(g, seed=7, supervisor=sup)
-        assert sup.events  # the caller's instance was the one used
-        assert len(res.degradations) == len(sup.events)
-
-    def test_degradations_deterministic_under_seed(self):
-        g = make_graph(25, 80, seed=34)
-        def run():
-            plan = canonical_plans(seed=3)["pool_break"]
-            with force_executor("process"), inject(plan):
-                return resilient_minimum_cut(g, seed=7)
-        a, b = run(), run()
-        assert a.value == b.value
-        assert a.attempts == b.attempts
-        assert len(a.degradations) == len(b.degradations)
-        assert [(e.backend_from, e.backend_to, e.reason) for e in a.degradations] == [
-            (e.backend_from, e.backend_to, e.reason) for e in b.degradations
-        ]
 
 
 # ---------------------------------------------------------------------------
