@@ -100,6 +100,7 @@ from repro.resilience.faults import (  # noqa: E402
     ALL_SITES,
     DURABILITY_SITES,
     SERVICE_SITES,
+    SITE_DELTA_FORCE_REBASE,
     SITE_WAL_CORRUPT_RECORD,
     Fault,
     FaultPlan,
@@ -118,15 +119,18 @@ BACKENDS = ("process", "sync")
 
 #: fault sites for driver-mode plans: the ``serve.*`` and
 #: ``wal.*``/``snapshot.*`` sites are only polled inside the daemon's
-#: service/durability layers, and ``executor.*`` sites only by
+#: service/durability layers, ``executor.*`` sites only by
 #: ``parallel_map``, which a driver run never calls (its one library
-#: caller is ``CutEngine.min_cut_batch``), so drawing them here would
-#: dilute the driver soak's fault density with guaranteed no-ops
+#: caller is ``CutEngine.min_cut_batch``), and ``delta.force_rebase``
+#: only by ``CutEngine.update``, so drawing them here would dilute the
+#: driver soak's fault density with guaranteed no-ops
+#: (``tests/test_chaos_soak.py`` checks that each site left fires)
 DRIVER_SITES = tuple(
     s for s in ALL_SITES
     if s not in SERVICE_SITES
     and s not in DURABILITY_SITES
     and not s.startswith("executor.")
+    and s != SITE_DELTA_FORCE_REBASE
 )
 
 #: resumes allowed per trial before declaring it stuck (each injected
@@ -429,8 +433,18 @@ def run_service_trial(
                     t.join(timeout=120)
                     if t.is_alive():
                         outcomes.append(f"hang: client thread {t.name} wedged")
-            metrics = server.service._metrics(None)
-            fired = int(metrics["counters"].get("serve.faults_injected", 0))
+            counters = server.service._metrics(None)["counters"]
+            fired = int(counters.get("serve.faults_injected", 0))
+            # client faults (the ``missing`` graph, the garbage frame)
+            # count in serve.bad_requests: every server-side error must
+            # be an injected crash
+            errors = counters.get("serve.errors", 0.0)
+            crashes = counters.get("serve.fault.handler_crash", 0.0)
+            if errors != crashes:
+                outcomes.append(
+                    f"fail: serve.errors {errors:g} != injected handler "
+                    f"crashes {crashes:g}"
+                )
     except BaseException as exc:  # noqa: BLE001 - any escape is a soak failure
         stats.failures.append(f"{label}: untyped {type(exc).__name__}: {exc}")
         return

@@ -98,6 +98,7 @@ from repro.errors import (
     UpdateVerificationError,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.validate import ensure_finite_weights
 from repro.packing.karger import build_cut_skeleton, pack_skeleton, select_trees
 from repro.params import CutPipelineParams
 from repro.pram.executor import parallel_map
@@ -635,7 +636,9 @@ class CutEngine:
             return self._update_result(res, delta, res.verification)
         ledger = self.ledger
         base_early = self._validated().early
-        self._graph = delta.apply(self._graph)
+        # checked before it is bound: a rejected delta leaves the engine
+        # on its current graph
+        self._graph = ensure_finite_weights(delta.apply(self._graph))
         self._fp_current = self._delta_log.append(delta)
         # everything this update may consume randomness for — stage
         # rebuilds, a triggered rebase, seed-escalated verify retries —

@@ -266,14 +266,21 @@ class Graph:
         relative rounding error below ``1/resolution``.  Cut values on
         ``graph'`` divide by ``scale`` to speak for ``self``.
         """
+        scale = self.integer_scale(resolution=resolution)
+        if scale is None:
+            return self, 1.0
+        return self.with_weights(np.maximum(np.rint(self.w * scale), 1.0)), scale
+
+    def integer_scale(self, *, resolution: float = 1000.0) -> Optional[float]:
+        """The factor :meth:`integerized` multiplies the weights by, or
+        None when they are already integral (and at least 1)."""
         w_int = np.rint(self.w)
         if (
             np.allclose(self.w, w_int, rtol=0, atol=1e-9)
             and w_int.min(initial=1) >= 1
         ):
-            return self, 1.0
-        scale = resolution / float(self.w.min())
-        return self.with_weights(np.maximum(np.rint(self.w * scale), 1.0)), scale
+            return None
+        return resolution / float(self.w.min())
 
     def require_integer_weights(self) -> np.ndarray:
         """Return weights as int64, raising if they are not integral."""

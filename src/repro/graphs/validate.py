@@ -19,7 +19,8 @@ __all__ = [
 
 
 def ensure_finite_weights(graph: Graph) -> Graph:
-    """Reject NaN/inf edge weights and non-finite totals.
+    """Reject NaN/inf edge weights, non-finite totals, and weights whose
+    integer scaling (:meth:`Graph.integerized`) overflows a 64-bit count.
 
     Graphs built through transformation helpers (``with_weights``,
     ``subgraph_edges``, …) skip construction-time validation for speed;
@@ -34,8 +35,17 @@ def ensure_finite_weights(graph: Graph) -> Graph:
         )
     with np.errstate(over="ignore"):
         total = graph.total_weight
-    if not np.isfinite(total):
-        raise GraphFormatError(f"total edge weight is not finite ({total!r})")
+        if not np.isfinite(total):
+            raise GraphFormatError(f"total edge weight is not finite ({total!r})")
+        # Section 3 reads an integer weight w as w parallel unit edges
+        # (Graph.integerized scales real weights first): the integer
+        # total must fit a 64-bit count
+        units = total * (graph.integer_scale() or 1.0) if graph.m else 0.0
+    if not units < 2.0**62:
+        raise GraphFormatError(
+            f"edge weights span too wide a range: {units:.3g} integer units "
+            "after scaling exceeds 2^62"
+        )
     return graph
 
 

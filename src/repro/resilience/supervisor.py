@@ -191,11 +191,6 @@ class Supervisor:
         h.probing = False
         h.blocked_until = 0.0
 
-    def events_since(self, mark: int) -> Tuple[DegradationEvent, ...]:
-        """Degradation events recorded after position ``mark`` (from
-        ``len(supervisor.events)`` taken earlier)."""
-        return tuple(self.events[mark:])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sick = [b for b in DEGRADATION_CHAIN if not self.healthy(b)]
         return f"Supervisor(chain={DEGRADATION_CHAIN}, blocked={sick or 'none'})"

@@ -34,12 +34,7 @@ from repro.serve.protocol import (
     ServiceError,
     well_formed,
 )
-from repro.serve.server import (
-    CutService,
-    ServerConfig,
-    ThreadedTCPServer,
-    run_tcp,
-)
+from repro.serve.server import CutService, ServerConfig, ThreadedTCPServer, run_tcp
 from repro.serve.tenancy import (
     BUDGET_CLASSES,
     BudgetClass,

@@ -29,6 +29,7 @@ __all__ = ["Admitted", "AdmissionQueue"]
 class Admitted:
     """One admitted request travelling from acceptor to worker."""
 
+    #: its typed arguments (:func:`repro.serve.protocol.check_request`)
     request: Dict[str, Any]
     future: "asyncio.Future[Dict[str, Any]]"
     tenant: Any  # Tenant; typed loosely to avoid an import cycle

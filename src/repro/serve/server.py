@@ -17,39 +17,36 @@ threaded front end.
   ``process → sync`` exactly as they do in the resilient
   driver.
 
-**The overload contract.**  Every request the service *accepts*
-receives exactly one typed response:
-
-* not admitted (queue full, tenant at its inflight limit, shutdown in
-  progress) → ``retry_after`` with a backlog-derived hint;
-* admitted but expired while queued → ``deadline_exceeded`` with
-  ``shed="queued"`` — the queue never runs dead work;
-* admitted and dispatched: the request's deadline becomes a
-  :class:`~repro.resilience.Budget` armed around the engine call, so
-  expiry mid-query raises at the pipeline's next cooperative
-  checkpoint and is answered as ``deadline_exceeded`` with
-  ``shed="inflight"`` — never a killed connection;
-* any handler exception (including the injected ``serve.handler_crash``
-  fault) → a typed ``error`` response on the same connection.
-
-Dispatch workers are wrapped so that *no* exception path can leave an
-admitted request's future unresolved — the exactly-one-response
-invariant is structural, and ``scripts/chaos_soak.py --service``
-hammers it with all four ``serve.*`` fault sites armed.
+Every request the service *accepts* receives exactly one typed
+response (the overload contract of ``docs/service.md``): a request is
+checked against the :data:`~repro.serve.protocol.OPS` schema once,
+before admission; an admitted request's deadline becomes a
+:class:`~repro.resilience.Budget` armed around the engine call, so it
+is shed at a cooperative checkpoint, never by a killed connection; and
+any handler exception (including the injected ``serve.handler_crash``
+fault) becomes a typed ``error``.  Dispatch workers are wrapped so
+that *no* exception path can leave an admitted request's future
+unresolved, and ``scripts/chaos_soak.py --service`` hammers this with
+all four ``serve.*`` fault sites armed.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import BudgetExceeded, ReproError
+from repro.errors import (
+    BudgetExceeded,
+    GraphFormatError,
+    InvalidParameterError,
+    ReproError,
+)
 from repro.graphs.graph import Graph
+from repro.graphs.validate import ensure_finite_weights
 from repro.obs.counters import CounterRegistry, counting_scope
 from repro.resilience.budget import Budget, budget_scope, checkpoint
 from repro.resilience.faults import (
@@ -64,9 +61,10 @@ from repro.resilience.faults import (
 from repro.resilience.supervisor import Supervisor, supervised_scope
 from repro.serve.admission import Admitted, AdmissionQueue
 from repro.serve.protocol import (
-    OP_VOCABULARY,
+    OPS,
     PROTOCOL_VERSION,
     ProtocolError,
+    check_request,
     deadline_response,
     error_response,
     ok_response,
@@ -84,52 +82,14 @@ __all__ = [
     "run_tcp",
 ]
 
-#: ops admitted through the bounded queue (everything else is answered
-#: inline by the acceptor — control traffic must survive saturation)
-QUERY_OPS = ("min_cut", "min_cut_batch", "update", "_stall")
-
-#: admitted ops that mutate the engine's bound graph: rejected with a
-#: typed ``mutation_forbidden`` error for budget classes registered
-#: without write access.
-MUTATING_OPS = ("update",)
-
-#: cap on one ``min_cut_batch`` request's seed list
-MAX_BATCH = 64
+#: client faults, counted in ``serve.bad_requests``: a request that
+#: breaks the schema, or a library graph-state check (vertex < n, edge
+#: index < m, unknown tenant or graph); the rest count in ``serve.errors``
+CLIENT_FAULTS = (ProtocolError, GraphFormatError, InvalidParameterError)
 
 #: cap on one injected stall/slow-client delay, so chaos plans with
 #: large ``scale`` cannot wedge a worker past useful timescales
 MAX_FAULT_DELAY_S = 0.5
-
-
-def _wire_number(value: Any, kind: type, fld: str) -> Any:
-    """``kind(value)`` for one numeric wire field; a value that does not
-    convert is the client's fault, so it raises :class:`ProtocolError`
-    (answered ``bad_request``), never a server-side error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ProtocolError(
-            f"{fld!r} must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}"
-        ) from None
-
-
-def _wire_edges(edges: Any, fld: str) -> List[Tuple[int, int, float]]:
-    """One ``[[u, v, w], ...]`` wire field as ``(u, v, w)`` triples; an
-    entry that is not a 3-item list of numbers raises
-    :class:`ProtocolError` (answered ``bad_request``)."""
-    if not isinstance(edges, list):
-        raise ProtocolError(f"{fld!r} must be a list of [u, v, w]")
-    triples = []
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 3:
-            raise ProtocolError(f"{fld!r} entries must be [u, v, w], got {e!r}")
-        u, v, w = e
-        triples.append(
-            (_wire_number(u, int, fld), _wire_number(v, int, fld),
-             _wire_number(w, float, fld))
-        )
-    return triples
 
 
 @dataclass(frozen=True)
@@ -245,15 +205,7 @@ class CutService:
         ``retry_after(reason="shutting_down")``, and cancel the workers."""
         self._stopping = True
         for item in self.queue.drain_nowait():
-            self._resolve(
-                item,
-                retry_after_response(
-                    item.request.get("id"),
-                    retry_after_ms=1000,
-                    reason="shutting_down",
-                ),
-            )
-            item.tenant.inflight -= 1
+            self._shut_out(item)
         for task in self._workers:
             task.cancel()
         for task in self._workers:
@@ -284,26 +236,20 @@ class CutService:
         """The full admission path for one request; always returns
         exactly one typed response object."""
         self.registry.add("serve.requests")
-        if not isinstance(request, dict) or not isinstance(request.get("op"), str):
-            self.registry.add("serve.bad_requests")
-            return error_response(
-                request.get("id") if isinstance(request, dict) else None,
-                code="bad_request",
-                message="request must be a JSON object with a string 'op'",
-            )
-        req_id = request.get("id")
-        op = request["op"]
+        req_id = request.get("id") if isinstance(request, dict) else None
         try:
+            args = check_request(request, debug_ops=self.config.debug_ops)
+            op = args["op"]
             if op == "ping":
                 return ok_response(req_id, pong=True, protocol=PROTOCOL_VERSION)
             if op in ("metrics", "stats"):
                 return self._metrics(req_id)
             if op == "graph_info":
-                return self._graph_info(request)
+                return self._graph_info(args)
             if op == "register_tenant":
-                return self._register_tenant(request)
+                return self._register_tenant(args)
             if op == "register_graph":
-                return await self._register_graph(request)
+                return await self._register_graph(args)
             if op == "shutdown":
                 if not self.config.allow_shutdown:
                     return error_response(
@@ -311,46 +257,31 @@ class CutService:
                     )
                 self._shutdown_requested.set()
                 return ok_response(req_id, stopping=True)
-            if op in QUERY_OPS:
-                if op == "_stall" and not self.config.debug_ops:
-                    return error_response(
-                        req_id, code="unknown_op", message="unknown op '_stall'"
-                    )
-                return await self._admit(request)
-            self.registry.add("serve.bad_requests")
-            return error_response(
-                req_id,
-                code="unknown_op",
-                message=(
-                    f"unknown op {op!r} (protocol v{PROTOCOL_VERSION} ops: "
-                    f"{sorted(OP_VOCABULARY)})"
-                ),
-            )
-        except ProtocolError as exc:
-            self.registry.add("serve.bad_requests")
-            return error_response(req_id, code="bad_request", message=str(exc))
-        except ReproError as exc:
-            self.registry.add("serve.errors")
-            return error_response(
-                req_id, code=type(exc).__name__, message=str(exc)
-            )
+            return await self._admit(args)
         except Exception as exc:  # noqa: BLE001 - the acceptor never throws
-            self.registry.add("serve.errors")
-            return error_response(
-                req_id, code="internal_error", message=f"{type(exc).__name__}: {exc}"
-            )
+            return self._failure(req_id, exc, "internal_error")
 
-    def _register_tenant(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        name = self._required_str(request, "tenant")
-        kwargs: Dict[str, Any] = {
-            "budget_class": str(
-                request.get("budget_class", self.config.default_budget_class)
-            )
-        }
-        for fld in ("cache_entries", "cache_bytes", "max_graphs"):
-            if fld in request:
-                kwargs[fld] = _wire_number(request[fld], int, fld)
-        quota = TenantQuota(**kwargs)
+    def _failure(self, req_id: Any, exc: BaseException, crash: str) -> Dict[str, Any]:
+        """The typed ``error`` response for ``exc``, counted as a client
+        fault (:data:`CLIENT_FAULTS`) or a server fault; an exception
+        from outside the library answers with code ``crash``."""
+        client = isinstance(exc, CLIENT_FAULTS)
+        self.registry.add("serve.bad_requests" if client else "serve.errors")
+        if isinstance(exc, ReproError):
+            code = exc.code if isinstance(exc, ProtocolError) else type(exc).__name__
+            return error_response(req_id, code=code, message=str(exc))
+        return error_response(req_id, code=crash, message=f"{type(exc).__name__}: {exc}")
+
+    def _register_tenant(self, args: Dict[str, Any]) -> Dict[str, Any]:
+        name = args["tenant"]
+        quota = TenantQuota(
+            budget_class=args["budget_class"] or self.config.default_budget_class,
+            **{
+                fld: args[fld]
+                for fld in ("cache_entries", "cache_bytes", "max_graphs")
+                if args[fld] is not None
+            },
+        )
         created = name not in self.tenants
         tenant = self.tenants.register(name, quota)
         if self.durable is not None and created:
@@ -360,28 +291,22 @@ class CutService:
             self.durable.log_tenant(name, tenant.quota)
         self.registry.add("serve.tenants_registered")
         return ok_response(
-            request.get("id"),
+            args["id"],
             tenant=tenant.name,
             budget_class=tenant.quota.budget_class,
             cache_entries=tenant.quota.cache_entries,
             cache_bytes=tenant.quota.cache_bytes,
         )
 
-    async def _register_graph(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        tenant = self.tenants.get(self._required_str(request, "tenant"))
-        graph_name = self._required_str(request, "graph")
-        n = _wire_number(request.get("n", 0), int, "n")
-        edges = request.get("edges")
-        seed = _wire_number(request.get("seed", 0), int, "seed")
-        epsilon = request.get("epsilon")
-        eps = None if epsilon is None else _wire_number(epsilon, float, "epsilon")
-        warm = bool(request.get("warm", False))
-        registry = self.registry
-
-        durable = self.durable
+    async def _register_graph(self, args: Dict[str, Any]) -> Dict[str, Any]:
+        tenant = self.tenants.get(args["tenant"])
+        graph_name, seed, eps = args["graph"], args["seed"], args["epsilon"]
+        registry, durable = self.registry, self.durable
 
         def build():
-            graph = Graph.from_edges(n, _wire_edges(edges, "edges"))
+            # the weights' range is checked here, not at the first
+            # min_cut, so a graph that registers can be answered
+            graph = ensure_finite_weights(Graph.from_edges(args["n"], args["edges"]))
             with counting_scope(registry), contextlib.ExitStack() as stack:
                 if durable is not None:
                     # registration + WAL append are one atomic unit
@@ -396,7 +321,7 @@ class CutService:
                     durable.log_graph(
                         tenant.name, graph_name, graph, seed=seed, epsilon=eps
                     )
-                if warm:
+                if args["warm"]:
                     engine.warm()
             return graph
 
@@ -406,33 +331,33 @@ class CutService:
         graph = await asyncio.to_thread(build)
         self.registry.add("serve.graphs_registered")
         return ok_response(
-            request.get("id"),
+            args["id"],
             tenant=tenant.name,
             graph=graph_name,
             n=graph.n,
             m=graph.m,
-            warmed=warm,
+            warmed=args["warm"],
         )
 
-    async def _admit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        req_id = request.get("id")
-        tenant = self.tenants.get(self._required_str(request, "tenant"))
-        if request["op"] != "_stall":
-            tenant.engine(self._required_str(request, "graph"))  # existence check
+    async def _admit(self, args: Dict[str, Any]) -> Dict[str, Any]:
+        req_id, op = args["id"], args["op"]
+        tenant = self.tenants.get(args["tenant"])
+        if "graph" in args:
+            tenant.engine(args["graph"])  # existence check
         if self._stopping:
             self.registry.add("serve.rejected_shutdown")
             return retry_after_response(
                 req_id, retry_after_ms=1000, reason="shutting_down"
             )
         cls = tenant.budget_class
-        if request["op"] in MUTATING_OPS and not cls.allow_mutation:
+        if OPS[op].mutates and not cls.allow_mutation:
             self.registry.add("serve.rejected_readonly")
             return error_response(
                 req_id,
                 code="mutation_forbidden",
                 message=(
                     f"budget class {cls.name!r} has no write access; "
-                    f"op {request['op']!r} mutates the graph"
+                    f"op {op!r} mutates the graph"
                 ),
             )
         if tenant.inflight >= cls.max_inflight:
@@ -443,19 +368,14 @@ class CutService:
                 reason="tenant_inflight",
             )
         deadline_s = cls.default_deadline_s
-        if request.get("deadline_ms") is not None:
-            deadline_ms = _wire_number(request["deadline_ms"], float, "deadline_ms")
-            if math.isnan(deadline_ms):
-                # Python's json decodes NaN, and min(nan, cap) stays NaN:
-                # the request would run with no deadline at all
-                raise ProtocolError("'deadline_ms' must be a number, got nan")
-            deadline_s = min(deadline_ms / 1000.0, cls.max_deadline_s)
+        if args["deadline_ms"] is not None:
+            deadline_s = min(args["deadline_ms"] / 1000.0, cls.max_deadline_s)
             if deadline_s <= 0:
                 return deadline_response(
                     req_id, shed="queued", message="deadline_ms must be positive"
                 )
         item = Admitted(
-            request=request,
+            request=args,
             future=asyncio.get_running_loop().create_future(),
             tenant=tenant,
             deadline_at=self.clock() + deadline_s,
@@ -479,6 +399,13 @@ class CutService:
             item.future.set_result(response)
             self.registry.add("serve.responses")
 
+    def _shut_out(self, item: Admitted) -> None:
+        """Answer an admitted request the stopping daemon will not run."""
+        self._resolve(item, retry_after_response(
+            item.request["id"], retry_after_ms=1000, reason="shutting_down"
+        ))
+        item.tenant.inflight -= 1
+
     async def _worker(self) -> None:
         while True:
             item = await self.queue.get()
@@ -489,31 +416,17 @@ class CutService:
             try:
                 response = await self._handle(item)
             except asyncio.CancelledError:
-                # shutdown while mid-request: still answer it
-                self._resolve(
-                    item,
-                    retry_after_response(
-                        item.request.get("id"),
-                        retry_after_ms=1000,
-                        reason="shutting_down",
-                    ),
-                )
-                item.tenant.inflight -= 1
+                self._shut_out(item)  # shutdown while mid-request: still answer it
                 raise
             except BaseException as exc:  # noqa: BLE001 - the future must resolve
-                self.registry.add("serve.errors")
-                response = error_response(
-                    item.request.get("id"),
-                    code="internal_error",
-                    message=f"{type(exc).__name__}: {exc}",
-                )
+                response = self._failure(item.request["id"], exc, "internal_error")
             self._resolve(item, response)
             item.tenant.inflight -= 1
             self.queue.observe_service_time(self.clock() - t0)
             self.queue.task_done()
 
     async def _handle(self, item: Admitted) -> Dict[str, Any]:
-        request, req_id = item.request, item.request.get("id")
+        request, req_id = item.request, item.request["id"]
         now = self.clock()
         if now >= item.deadline_at:
             self.registry.add("serve.shed_queued")
@@ -531,17 +444,8 @@ class CutService:
             return deadline_response(
                 req_id, shed="inflight", message=f"shed at checkpoint: {exc}"
             )
-        except ProtocolError as exc:
-            self.registry.add("serve.bad_requests")
-            return error_response(req_id, code="bad_request", message=str(exc))
-        except ReproError as exc:
-            self.registry.add("serve.errors")
-            return error_response(req_id, code=type(exc).__name__, message=str(exc))
         except Exception as exc:  # noqa: BLE001 - crash → typed response
-            self.registry.add("serve.errors")
-            return error_response(
-                req_id, code="handler_crash", message=f"{type(exc).__name__}: {exc}"
-            )
+            return self._failure(req_id, exc, "handler_crash")
         self.registry.add("serve.completed")
         self.registry.add(f"serve.op.{request['op'].lstrip('_')}")
         return ok_response(req_id, **payload)
@@ -550,8 +454,9 @@ class CutService:
         request = item.request
         op = request["op"]
         if op == "_stall":
-            seconds = _wire_number(request.get("seconds", 0.1), float, "seconds")
-            return await asyncio.to_thread(self._run_stall, seconds, remaining)
+            return await asyncio.to_thread(
+                self._run_stall, request["seconds"], remaining
+            )
         engine, lock = item.tenant.engine(request["graph"])
         backend = item.tenant.budget_class.executor_backend
         async with lock:  # CutEngine mutates rng/bindings: serialize per graph
@@ -584,11 +489,7 @@ class CutService:
         return {"stalled_s": seconds}
 
     def _run_query(
-        self,
-        engine,
-        request: Dict[str, Any],
-        remaining: float,
-        backend: Optional[str],
+        self, engine, request: Dict[str, Any], remaining: float, backend: Optional[str]
     ) -> Dict[str, Any]:
         """One engine query on a worker thread, under the service's
         counter registry, supervisor, the request's deadline budget, and
@@ -609,7 +510,8 @@ class CutService:
                 res = engine.min_cut()
                 return self._result_payload(request, res, engine)
             if op == "update":
-                kwargs = self._parse_update(request)
+                mutation = OPS[op].any_of
+                kwargs = {f: request[f] for f in mutation if request[f] is not None}
                 with contextlib.ExitStack() as stack:
                     if self.durable is not None:
                         # {apply + log} is atomic under the durability
@@ -619,86 +521,26 @@ class CutService:
                         stack.enter_context(self.durable.lock)
                     upd = engine.update(**kwargs)
                     if self.durable is not None and not upd.noop:
+                        head = engine.fingerprint_chain()["current"]["fingerprint"]
                         self.durable.log_update(
-                            request["tenant"],
-                            request["graph"],
-                            kwargs,
-                            {
-                                "epoch": upd.epoch,
-                                "staleness": upd.staleness,
-                                "value": upd.value,
-                                "fingerprint": engine.fingerprint_chain()[
-                                    "current"
-                                ]["fingerprint"],
-                            },
+                            request["tenant"], request["graph"], kwargs,
+                            {"epoch": upd.epoch, "staleness": upd.staleness,
+                             "value": upd.value, "fingerprint": head},
                         )
                 payload = self._result_payload(request, upd.result, engine)
+                verified = upd.verification
                 payload.update(
                     update=1.0,
                     noop=upd.noop,
                     rebased=upd.rebased,
                     rebase_reason=upd.rebase_reason,
                     applied=upd.applied,
-                    verified=(
-                        None if upd.verification is None
-                        else bool(upd.verification.ok)
-                    ),
+                    verified=None if verified is None else bool(verified.ok),
                 )
                 return payload
-            if op == "min_cut_batch":
-                seeds = request.get("seeds")
-                if not isinstance(seeds, list) or not seeds:
-                    raise ProtocolError("min_cut_batch needs a non-empty 'seeds' list")
-                if len(seeds) > MAX_BATCH:
-                    raise ProtocolError(
-                        f"batch of {len(seeds)} exceeds the {MAX_BATCH}-seed cap"
-                    )
-                results = engine.min_cut_batch(
-                    [_wire_number(s, int, "seeds") for s in seeds]
-                )
-                return {
-                    "values": [float(r.value) for r in results],
-                    "epoch": engine.epoch,
-                }
-            raise ProtocolError(f"unroutable query op {op!r}")  # pragma: no cover
-
-    @staticmethod
-    def _parse_reweight(weights, message: str):
-        if isinstance(weights, dict):
-            return {
-                _wire_number(k, int, "reweight"): _wire_number(v, float, "reweight")
-                for k, v in weights.items()
-            }
-        if isinstance(weights, list):
-            return [_wire_number(v, float, "reweight") for v in weights]
-        raise ProtocolError(message)
-
-    def _parse_update(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The ``update`` op's wire fields, validated into
-        :meth:`CutEngine.update` keywords."""
-        add_edges = request.get("add_edges")
-        remove_edges = request.get("remove_edges")
-        reweight = request.get("reweight")
-        if add_edges is None and remove_edges is None and reweight is None:
-            raise ProtocolError(
-                "update needs at least one of 'add_edges' ([u, v, w] "
-                "triples), 'remove_edges' (edge indices), 'reweight' "
-                "({edge_index: w} or a full list)"
-            )
-        kwargs: Dict[str, Any] = {}
-        if add_edges is not None:
-            kwargs["add_edges"] = _wire_edges(add_edges, "add_edges")
-        if remove_edges is not None:
-            if not isinstance(remove_edges, list):
-                raise ProtocolError("'remove_edges' must be a list of edge indices")
-            kwargs["remove_edges"] = [
-                _wire_number(i, int, "remove_edges") for i in remove_edges
-            ]
-        if reweight is not None:
-            kwargs["reweight"] = self._parse_reweight(
-                reweight, "'reweight' must be {edge_index: w} or a full list"
-            )
-        return kwargs
+            # min_cut_batch
+            results = engine.min_cut_batch(request["seeds"])
+            return {"values": [float(r.value) for r in results], "epoch": engine.epoch}
 
     @staticmethod
     def _result_payload(request: Dict[str, Any], res, engine) -> Dict[str, Any]:
@@ -713,24 +555,24 @@ class CutService:
         for key in ("num_trees", "rebased", "update"):
             if key in stats:
                 payload[key] = float(stats[key])
-        if request.get("return_side"):
+        if request["return_side"]:
             side = res.side
             small = side if side.sum() * 2 <= side.shape[0] else ~side
             payload["side"] = [int(i) for i in small.nonzero()[0]]
         return payload
 
-    def _graph_info(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _graph_info(self, args: Dict[str, Any]) -> Dict[str, Any]:
         """Inline (non-admitted) introspection of one registered graph:
         epoch, staleness, fingerprint, write access, and the tenant's
         cache stats — what a client polls to detect concurrent mutation
         without paying for a query."""
-        tenant = self.tenants.get(self._required_str(request, "tenant"))
-        graph_name = self._required_str(request, "graph")
+        tenant = self.tenants.get(args["tenant"])
+        graph_name = args["graph"]
         engine, _ = tenant.engine(graph_name)
         cls = tenant.budget_class
         chain = engine.fingerprint_chain()
         return ok_response(
-            request.get("id"),
+            args["id"],
             tenant=tenant.name,
             graph=graph_name,
             n=engine.graph.n,
@@ -765,13 +607,6 @@ class CutService:
                 None if self.durable is None else self.durable.stats()
             ),
         )
-
-    @staticmethod
-    def _required_str(request: Dict[str, Any], fld: str) -> str:
-        value = request.get(fld)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"request op {request.get('op')!r} needs {fld!r}")
-        return value
 
 
 # ---------------------------------------------------------------------------

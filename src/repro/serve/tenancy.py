@@ -8,24 +8,11 @@ A *tenant* is a named registration owning
   not scheduled: a noisy tenant can evict only its own artifacts);
 * a dictionary of named graphs, each fronted by one
   :class:`~repro.engine.CutEngine` (re-registering a name rebinds it);
-* a *budget class* bounding its deadlines, concurrency, and write
-  access:
-
-  ===========  ================  =============  ============  =========
-  class        default deadline  max deadline   max inflight  mutations
-  ===========  ================  =============  ============  =========
-  interactive  2 s               10 s           8             no
-  standard     10 s              60 s           16            yes
-  batch        60 s              600 s          4             yes
-  ===========  ================  =============  ============  =========
-
-  Classes without write access (``allow_mutation=False``) get a typed
-  ``mutation_forbidden`` error for the ``update`` op — interactive
-  traffic reads a graph other writers evolve, it never races them.
-
-  A request's ``deadline_ms`` is clamped to the class maximum; a
-  request without one gets the class default, so *every* admitted
-  query carries a deadline and can be shed.
+* a *budget class* (:data:`BUDGET_CLASSES`, tabulated in
+  ``docs/service.md``) bounding its deadlines, concurrency and write
+  access.  A request's ``deadline_ms`` is clamped to the class
+  maximum, and a request without one gets the class default, so
+  *every* admitted query carries a deadline and can be shed.
 
 The tenant name is an identifier, not an authentication: the daemon
 trusts its network (see the trust-boundary note in ``docs/service.md``).

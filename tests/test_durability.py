@@ -544,6 +544,28 @@ class TestServeDurability:
             assert resp["noop"] is True
             assert srv.request({"op": "metrics"})["durability"]["seq"] == seq0
 
+    def test_nan_epsilon_is_refused_before_the_log(self, tmp_path, graph):
+        """A NaN epsilon answers ``bad_request`` and never reaches the
+        WAL or a snapshot, so no restart can replay a graph whose every
+        ``min_cut`` would crash."""
+        edges = [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
+
+        def files():
+            return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+        with ThreadedTCPServer(self._config(tmp_path)) as srv:
+            srv.request({"op": "register_tenant", "tenant": "t"})
+            before = files()
+            resp = srv.request({"op": "register_graph", "tenant": "t",
+                                "graph": "g", "n": graph.n, "edges": edges,
+                                "epsilon": float("nan")})
+            assert resp["type"] == "error" and resp["error"] == "bad_request"
+            assert files() == before
+        with ThreadedTCPServer(self._config(tmp_path)) as srv2:
+            resp = srv2.request({"op": "min_cut", "tenant": "t", "graph": "g"})
+            assert resp["error"] == "UnknownGraph", resp
+            assert srv2.request({"op": "metrics"})["tenants"]["t"]["graphs"] == 0
+
     def test_stateless_config_reports_not_durable(self, graph):
         edges = [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
         with ThreadedTCPServer(ServerConfig(port=0, workers=1)) as srv:

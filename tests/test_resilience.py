@@ -440,6 +440,16 @@ class TestFiniteWeightValidation:
         g = make_graph(8, 20, seed=23)
         assert ensure_finite_weights(g) is g
 
+    # Section 3's integer scaling (Graph.integerized) of these overflows a
+    # 64-bit count: a 1e-300 edge scales the rest by 1e303, and an
+    # integral 1e19 is already past it
+    @pytest.mark.parametrize("bad", [1e-300, 1e19])
+    def test_rejects_weights_whose_integer_scaling_overflows(self, bad):
+        with pytest.raises(GraphFormatError, match="too wide a range"):
+            minimum_cut(self._with_bad_weight(bad))
+        light = self._with_bad_weight(1e-6)  # a wide range that still fits
+        assert ensure_finite_weights(light) is light
+
     def test_minimum_cut_rejects_nan(self):
         with pytest.raises(GraphFormatError):
             minimum_cut(self._with_bad_weight(float("nan")))

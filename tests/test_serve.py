@@ -395,9 +395,10 @@ class TestInProcEndToEnd:
             assert resp["error"] == "mutation_forbidden"
 
 
-#: requests whose numeric fields do not convert: each is the client's
-#: fault, answered ``bad_request`` on a connection that stays usable
-_MALFORMED_NUMBERS = {
+#: requests with a field of the wrong wire kind or out of its bounds
+#: (``repro.serve.protocol.OPS``): each is the client's fault, answered
+#: ``bad_request`` on a connection that stays usable
+_MALFORMED_FIELDS = {
     "deadline_ms": {"op": "min_cut", "tenant": "t", "graph": "g",
                     "deadline_ms": "soon"},
     # a NaN deadline would otherwise run with no deadline at all
@@ -432,6 +433,40 @@ _MALFORMED_NUMBERS = {
                       "reweight": {"0": "heavy"}},
     "reweight_list": {"op": "update", "tenant": "t", "graph": "g",
                       "reweight": ["heavy"]},
+    "seeds_negative": {"op": "min_cut_batch", "tenant": "t", "graph": "g",
+                       "seeds": [-1]},
+    "seeds_bool": {"op": "min_cut_batch", "tenant": "t", "graph": "g",
+                   "seeds": [True]},
+    "epsilon_nan": {"op": "register_graph", "tenant": "t", "graph": "h", "n": 2,
+                    "edges": [[0, 1, 1.0]], "epsilon": float("nan")},
+    "epsilon_zero": {"op": "register_graph", "tenant": "t", "graph": "h", "n": 2,
+                     "edges": [[0, 1, 1.0]], "epsilon": 0},
+    # Section 4.3 needs epsilon <= 1; 50 crashed the first min_cut
+    "epsilon_fifty": {"op": "register_graph", "tenant": "t", "graph": "h",
+                      "n": 2, "edges": [[0, 1, 1.0]], "epsilon": 50},
+    # a non-integral vertex id once truncated to edge (0, 1)
+    "edges_fractional": {"op": "register_graph", "tenant": "t", "graph": "h",
+                         "n": 2, "edges": [[0.5, 1, 1.0]]},
+    "warm_string": {"op": "register_graph", "tenant": "t", "graph": "h", "n": 2,
+                    "edges": [[0, 1, 1.0]], "warm": "false"},
+    "return_side_string": {"op": "min_cut", "tenant": "t", "graph": "g",
+                           "return_side": "false"},
+    "budget_class_number": {"op": "register_tenant", "tenant": "u",
+                            "budget_class": 5},
+    "deadline_ms_inf": {"op": "min_cut", "tenant": "t", "graph": "g",
+                        "deadline_ms": float("inf")},
+}
+
+#: requests the schema admits but the library refuses against the
+#: graph's state: each keeps its typed code and counts as a client fault
+_GRAPH_STATE_FAULTS = {
+    "negative_weight": ({"op": "register_graph", "tenant": "t", "graph": "h",
+                         "n": 2, "edges": [[0, 1, -1.0]]}, "GraphFormatError"),
+    "vertex_out_of_range": ({"op": "register_graph", "tenant": "t",
+                             "graph": "h", "n": 2, "edges": [[0, 5, 1.0]]},
+                            "GraphFormatError"),
+    "remove_edge_out_of_range": ({"op": "update", "tenant": "t", "graph": "g",
+                                  "remove_edges": [999]}, "GraphFormatError"),
 }
 
 
@@ -446,17 +481,18 @@ def _raw_request(sock, request):
     return json.loads(reader.read(length))
 
 
-@pytest.mark.parametrize("field", sorted(_MALFORMED_NUMBERS))
-def test_malformed_number_is_a_bad_request(graph, edges, field):
+def _client_fault(graph, edges, request, code):
+    """Send ``request`` raw and check it is answered ``error(code)``,
+    counted once in ``serve.bad_requests`` and never in ``serve.errors``."""
     cfg = ServerConfig(port=0, workers=1, debug_ops=True)
     with ThreadedTCPServer(cfg) as server:
         _register(server, graph, edges)
         with ServiceClient("127.0.0.1", server.port, timeout=30) as client, \
                 socket.create_connection(("127.0.0.1", server.port), timeout=30) as s:
             before = client.call({"op": "metrics"})["counters"]
-            resp = _raw_request(s, {**_MALFORMED_NUMBERS[field], "id": 1})
+            resp = _raw_request(s, {**request, "id": 1})
             assert well_formed(resp), resp
-            assert resp["type"] == "error" and resp["error"] == "bad_request", resp
+            assert resp["type"] == "error" and resp["error"] == code, resp
             after = client.call({"op": "metrics"})["counters"]
             assert after["serve.bad_requests"] == (
                 before.get("serve.bad_requests", 0.0) + 1.0
@@ -464,6 +500,16 @@ def test_malformed_number_is_a_bad_request(graph, edges, field):
             assert "serve.errors" not in after
             # the same connection keeps serving
             assert _raw_request(s, {"op": "ping", "id": 2})["pong"] is True
+
+
+@pytest.mark.parametrize("field", sorted(_MALFORMED_FIELDS))
+def test_malformed_number_is_a_bad_request(graph, edges, field):
+    _client_fault(graph, edges, _MALFORMED_FIELDS[field], "bad_request")
+
+
+@pytest.mark.parametrize("case", sorted(_GRAPH_STATE_FAULTS))
+def test_graph_state_fault_keeps_its_code(graph, edges, case):
+    _client_fault(graph, edges, *_GRAPH_STATE_FAULTS[case])
 
 
 # ---------------------------------------------------------------------------

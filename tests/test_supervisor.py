@@ -135,16 +135,6 @@ class TestSupervisorModel:
         sup.record_failure("sync", "timeout")  # the last stage never blocks
         assert sup.select("process") == "sync"
 
-    def test_events_since(self):
-        clock = FakeClock()
-        sup = Supervisor(clock=clock)
-        sup.record_failure("process", "broken_pool")
-        sup.select("process")
-        mark = len(sup.events)
-        assert sup.events_since(mark) == ()
-        sup.select("process")
-        assert len(sup.events_since(mark)) == 1
-
     def test_unsupervised_backend_passthrough(self):
         sup = Supervisor(clock=FakeClock())
         assert sup.select("weird") == "weird"

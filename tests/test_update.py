@@ -272,6 +272,16 @@ class TestRebaseTriggers:
         assert upd.value == 0.0
         assert upd.value == _cold_value(engine.graph)
 
+    def test_refused_delta_leaves_the_graph(self, graph):
+        # each weight is finite, so as_delta accepts them, but their
+        # total is not: the mutated graph is refused before it is bound
+        engine = CutEngine(graph, seed=0)
+        before = engine.min_cut().value
+        with pytest.raises(GraphFormatError):
+            engine.update(reweight={0: 1e308, 1: 1e308})
+        assert engine.graph is graph and engine.staleness == 0
+        assert engine.min_cut().value == before
+
 
 class TestEpochSemantics:
     def test_epoch_and_staleness_lifecycle(self, graph):
