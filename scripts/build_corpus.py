@@ -9,8 +9,8 @@ a million edges), writes each as a ``.rpg`` binary
 ``corpus.json`` manifest with per-instance metadata (n, m, weighted,
 column bytes, CRC-carrying header verified on read).
 
-``scripts/bench_arena.py`` consumes the manifest.  Everything is
-deterministic: same seed, bit-identical corpus.
+``python -m repro arena FILE`` runs the contenders on any of the
+files.  Everything is deterministic: same seed, bit-identical corpus.
 
 Usage::
 

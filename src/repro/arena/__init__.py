@@ -5,8 +5,8 @@
 implemented under :mod:`repro.arena.solvers` into uniform
 :class:`Contender` objects: named, kinded, seeded, returning a typed
 :class:`ArenaResult` with the cut value, witness side, wall-clock time
-and work/depth charges.  ``scripts/bench_arena.py`` runs the full
-contender x corpus matrix and cross-checks the exact contenders
+and work/depth charges.  ``python -m repro arena FILE`` runs the
+contenders on one corpus graph and cross-checks the exact ones
 bit-for-bit.
 
 >>> from repro.arena import get_contender

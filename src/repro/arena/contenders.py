@@ -155,7 +155,7 @@ class MatulaContender(Contender):
 
     ``max_certificate_rounds`` keeps dense weighted multigraphs
     feasible; the certified ratio (inflated if the cap ever binds) is
-    reported as ``claimed_ratio`` and gated by the benchmark.
+    reported as ``claimed_ratio`` and gated by the arena tests.
     """
 
     name = "matula"

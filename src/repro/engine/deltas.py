@@ -99,7 +99,10 @@ class GraphDelta:
             moved += float(np.sum(self.add_w))
         moved += float(self._removed_weight)
         if self.rw_idx.size:
-            moved += float(np.sum(np.abs(self.rw_w - self._rw_old)))
+            # an overflowing total is refused downstream as a non-finite
+            # graph weight; it must not warn on the way there
+            with np.errstate(over="ignore"):
+                moved += float(np.sum(np.abs(self.rw_w - self._rw_old)))
         object.__setattr__(self, "weight_delta", moved)
 
     # populated by as_delta (old weights let weight_delta be computed

@@ -7,7 +7,7 @@ The three pieces (see ``docs/observability.md`` for the full model):
   recording wall clock, ledger work/depth deltas, and counter deltas
   (:mod:`repro.obs.span`);
 * :class:`CounterRegistry` / :func:`counters` — one dot-namespaced
-  counter map (``oracle.nodes_visited``, ``smawk.evals``,
+  counter map (``oracle.nodes_visited``, ``kernels.batch_entries``,
   ``executor.retries``, ...) replacing the free-form stats dicts
   (:mod:`repro.obs.counters`);
 * :class:`RunReport` — the frozen result, attached to

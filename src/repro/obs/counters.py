@@ -13,7 +13,9 @@ Namespaces (the full catalogue lives in ``docs/observability.md``):
 ========================  =====================================================
 ``oracle.*``              cut-query oracle activity (``nodes_visited``,
                           ``queries``)
-``smawk.*``               Monge-search entry evaluations (``evals``, ``calls``)
+``smawk.*``               Monge-search entry evaluations (``evals``, ``calls``);
+                          reference-only: ``repro.monge.smawk`` emits them,
+                          the library never does
 ``kernels.*``             fast-path batch drivers (``batch_calls``,
                           ``batch_entries``)
 ``tworespect.*``          per-tree search shape (``trees``,

@@ -18,7 +18,7 @@ Layout:
 
 ``python -m repro serve`` runs the daemon in the foreground
 (:func:`run_tcp`);
-``scripts/bench_service.py`` load-tests it and
+``bench/``'s serve-read and serve-write workloads time it and
 ``scripts/chaos_soak.py --service`` soaks it under injected
 ``serve.*`` faults.  Protocol, tenancy, and shedding semantics are
 documented in ``docs/service.md``.

@@ -1,6 +1,6 @@
 """A blocking TCP client for the cut-serving daemon.
 
-Used by the load generator (``scripts/bench_service.py``), the chaos
+Used by the benchmark's serve workloads (``bench/``), the chaos
 soak (``scripts/chaos_soak.py --service``), and the tests; also a
 reasonable starting point for real callers.  One client owns one
 connection and issues requests strictly in order — open several

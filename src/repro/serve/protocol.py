@@ -35,7 +35,7 @@ the :data:`RESPONSE_TYPES`: ``result`` (the answer), ``retry_after``
 ``error`` (a typed failure, ``bad_request`` for a request that breaks
 :data:`OPS`).  ``docs/service.md`` tabulates their fields;
 :func:`well_formed` checks a response against that table — the chaos
-soak and the load generator gate on it for every single response.
+soak and the serve tests gate on it for every single response.
 """
 
 from __future__ import annotations

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,3 +37,13 @@ def assert_valid_cut(graph: Graph, value: float, side) -> None:
     assert side.shape == (graph.n,)
     assert 0 < side.sum() < graph.n
     assert abs(graph.cut_value(side) - value) < 1e-9
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py``, which is not a package, as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve their module through it
+    spec.loader.exec_module(module)
+    return module

@@ -1,6 +1,7 @@
 """The solver arena: registry, contenders, baselines (repro.arena)."""
 
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.arena import (
     get_contender,
     register,
 )
+from repro.arena.contenders import KargerSteinContender
 from repro.arena.registry import _REGISTRY
 from repro.arena.solvers import (
     matula_approx,
@@ -20,9 +22,16 @@ from repro.arena.solvers import (
     viecut_minimum_cut,
 )
 from repro.errors import InvalidParameterError
-from repro.graphs import Graph, barbell_graph, planted_cut_graph, random_connected_graph
+from repro.graphs import (
+    Graph,
+    barbell_graph,
+    planted_cut_graph,
+    random_connected_graph,
+    read_graph_binary,
+    write_graph_binary,
+)
 
-from tests.conftest import assert_valid_cut
+from tests.conftest import assert_valid_cut, load_script
 
 EXPECTED_CONTENDERS = {
     "approx-s3",
@@ -36,13 +45,8 @@ EXPECTED_CONTENDERS = {
 }
 
 
-def unweighted_simple(n, p, rng):
-    iu, iv = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < p
-    u = np.concatenate([iu[keep], np.arange(n)])
-    v = np.concatenate([iv[keep], (np.arange(n) + 1) % n])
-    pairs = np.unique(np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1), axis=0)
-    return Graph(n, pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]))
+build_corpus = load_script("build_corpus")
+SMOKE_FAMILIES = dict(build_corpus.corpus_spec(smoke=True))
 
 
 class TestRegistry:
@@ -134,7 +138,7 @@ class TestContendersAgree:
         weighted = random_connected_graph(12, 30, rng=4, max_weight=5)
         c = get_contender("two-out")
         assert not c.supports(weighted)
-        simple = unweighted_simple(20, 0.3, np.random.default_rng(2))
+        simple = build_corpus.unweighted_simple(20, 0.3, rng=np.random.default_rng(2))
         assert c.supports(simple)
         res = c.solve(simple, seed=0)
         assert res.value >= stoer_wagner(simple).value - 1e-9
@@ -159,6 +163,45 @@ class TestContendersAgree:
         g = random_connected_graph(12, 30, rng=9, max_weight=3)
         res = get_contender("stoer-wagner").solve(g)
         assert res.work > 0 and res.depth > 0 and res.wall_s >= 0
+
+
+class TestArenaMatrix:
+    """Every registered contender on each smoke family of
+    ``scripts/build_corpus.py``, built with that script's default seed
+    and read back through the binary format; Karger–Stein runs 3
+    repetitions instead of its log^2 n default to keep the matrix fast."""
+
+    @pytest.mark.parametrize("family", sorted(SMOKE_FAMILIES))
+    def test_family(self, family, tmp_path):
+        rng = np.random.default_rng([2021, zlib.crc32(family.encode())])
+        path = tmp_path / f"{family}.rpg"
+        write_graph_binary(SMOKE_FAMILIES[family](rng), path)
+        graph = read_graph_binary(path)
+        write_graph_binary(graph, tmp_path / "again.rpg")
+        assert (tmp_path / "again.rpg").read_bytes() == path.read_bytes()
+
+        cells = []
+        for name in contender_names():
+            contender = (
+                KargerSteinContender(repetitions=3)
+                if name == "karger-stein"
+                else get_contender(name)
+            )
+            if contender.supports(graph):  # two-out: unweighted only
+                cells.append(contender.solve(graph, seed=0))
+        exact = [c for c in cells if c.kind == "exact"]
+        assert len(cells) >= 5 and len(exact) >= 2
+        assert {c.kind for c in cells} == {"exact", "montecarlo", "approx"}
+        lam = exact[0].value
+        for c in exact:
+            assert c.value == lam, {c.contender: c.value for c in exact}
+        for c in cells:
+            if c.kind == "montecarlo":
+                assert c.value >= lam - 1e-9, c.contender
+            elif c.kind == "approx":
+                assert c.lower_bound <= lam + 1e-9, c.contender
+                assert lam - 1e-9 <= c.value, c.contender
+                assert c.value <= c.claimed_ratio * lam + 1e-9, c.contender
 
 
 class TestViecutReductions:

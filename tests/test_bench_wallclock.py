@@ -1,19 +1,13 @@
 """``scripts/bench_wallclock.py``: the Brent projection it reports."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_wallclock.py"
+from tests.conftest import load_script
 
 
 @pytest.fixture(scope="module")
 def bench_wallclock():
-    spec = importlib.util.spec_from_file_location("bench_wallclock", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("bench_wallclock")
 
 
 def _executors():

@@ -1,6 +1,10 @@
 """Graph I/O round trips (repro.graphs.io)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,27 @@ from repro.graphs import (
     write_graph_binary,
 )
 from repro.graphs.io import graph_binary_info
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: loads argv[1] in a fresh interpreter; prints the growth of resident
+#: (VmRSS) and peak resident (VmHWM) memory in bytes, and the graph's
+#: total weight (proof the load happened)
+_RSS_PROBE = r"""
+import sys
+from repro.graphs.io import read_graph_binary
+
+def status_kib():
+    with open("/proc/self/status") as fh:
+        rows = dict(line.split(":", 1) for line in fh)
+    return [int(rows[key].split()[0]) for key in ("VmRSS", "VmHWM")]
+
+before = status_kib()
+g = read_graph_binary(sys.argv[1])  # the CRC check streams every column
+total = g.total_weight  # and the weight column is read once more
+after = status_kib()
+print(*[(a - b) * 1024 for a, b in zip(after, before)], repr(total))
+"""
 
 
 class TestEdgelist:
@@ -203,6 +228,30 @@ class TestBinary:
         write_graph_binary(Graph.empty(5), path)
         g = read_graph_binary(path)
         assert g.n == 5 and g.m == 0
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc"
+    )
+    def test_mmap_load_is_frugal(self, tmp_path):
+        """Loading maps the columns instead of copying them: resident
+        and peak resident memory grow by less than 2x their raw bytes."""
+        rng = np.random.default_rng(2021)
+        n, m = 2_000, 120_000
+        u = rng.integers(0, n, size=m)
+        v = (u + rng.integers(1, n, size=m)) % n
+        g = Graph(n, u, v, rng.integers(1, 9, size=m).astype(np.float64))
+        path = tmp_path / "big.rpg"
+        write_graph_binary(g, path)
+        column_bytes = graph_binary_info(path)["column_bytes"]
+        out = subprocess.run(
+            [sys.executable, "-c", _RSS_PROBE, str(path)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        ).stdout.split()
+        rss_delta, peak_delta, total = int(out[0]), int(out[1]), float(out[2])
+        assert total == g.total_weight
+        assert rss_delta < 2 * column_bytes, (rss_delta, column_bytes)
+        assert peak_delta < 2 * column_bytes, (peak_delta, column_bytes)
 
     def test_solver_runs_on_mmap_graph(self, tmp_path):
         """End to end: a solver consumes the zero-copy view directly."""

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.arena.solvers import stoer_wagner
 from repro.engine import CutEngine
 from repro.graphs import random_connected_graph
 from repro.pram.executor import shutdown_shared_pools
@@ -859,6 +860,7 @@ class TestTCP:
 # ---------------------------------------------------------------------------
 class TestOverloadContract:
     def test_concurrent_storm_all_answered(self, graph, edges, exact):
+        assert exact == stoer_wagner(graph).value
         cfg = ServerConfig(queue_depth=4, workers=2, debug_ops=True)
         plan = FaultPlan(
             faults=(
@@ -869,18 +871,29 @@ class TestOverloadContract:
         )
         with ThreadedTCPServer(cfg, faults=plan) as srv:
             _register(srv, graph, edges, budget_class="interactive")
+            # the interactive class may not mutate, so updates go to a
+            # second tenant of the default class
+            _register(srv, graph, edges, tenant="w")
             responses = []
             lock = threading.Lock()
 
             def fire(i):
-                if i % 4 == 3:
-                    req = {"op": "min_cut", "tenant": "t", "graph": "g",
-                           "deadline_ms": 1, "id": i}
-                else:
-                    req = {"op": "min_cut", "tenant": "t", "graph": "g", "id": i}
-                resp = srv.request(req, timeout=120)
-                with lock:
-                    responses.append((req, resp))
+                req = {"op": "min_cut", "tenant": "t", "graph": "g", "id": i}
+                if i % 4 == 1:
+                    # zero-delta update: a no-op that still answers the cut
+                    req.update(op="update", tenant="w", reweight={})
+                elif i % 4 == 2:
+                    req.update(op="min_cut_batch", seeds=[i, i + 1, i + 2])
+                elif i % 4 == 3:
+                    req["deadline_ms"] = 1
+                for _ in range(32):
+                    resp = srv.request(dict(req), timeout=120)
+                    with lock:
+                        responses.append((req, resp))
+                    if resp["type"] != "retry_after":
+                        break
+                    # honour the backpressure hint, as a client would
+                    time.sleep(resp["retry_after_ms"] / 1000.0)
 
             threads = [
                 threading.Thread(target=fire, args=(i,)) for i in range(24)
@@ -890,13 +903,21 @@ class TestOverloadContract:
             for t in threads:
                 t.join(timeout=120)
                 assert not t.is_alive(), "client thread hung"
-            assert len(responses) == 24  # exactly one response each
+            # every request answered; every op reached a result
+            assert {req["id"] for req, _ in responses} == set(range(24))
+            assert {
+                req["op"] for req, resp in responses if resp["type"] == "result"
+            } == {"min_cut", "update", "min_cut_batch"}
             for req, resp in responses:
                 assert well_formed(resp, req["id"], check_id=True), (req, resp)
                 if resp["type"] == "result" and req.get("deadline_ms") is None:
-                    assert resp["value"] == exact
+                    if req["op"] == "min_cut_batch":
+                        assert resp["values"] == [exact] * 3, (req, resp)
+                    else:
+                        assert resp["value"] == exact, (req, resp)
             # inflight accounting drained cleanly
             assert srv.service.tenants.get("t").inflight == 0
+            assert srv.service.tenants.get("w").inflight == 0
             assert srv.service.queue.qsize() == 0
 
 

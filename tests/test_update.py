@@ -272,6 +272,7 @@ class TestRebaseTriggers:
         assert upd.value == 0.0
         assert upd.value == _cold_value(engine.graph)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refused_delta_leaves_the_graph(self, graph):
         # each weight is finite, so as_delta accepts them, but their
         # total is not: the mutated graph is refused before it is bound
