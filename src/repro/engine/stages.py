@@ -35,7 +35,7 @@ from repro.graphs.validate import ensure_finite_weights
 # too (ROADMAP open item 1 retires that name-patch table)
 from repro.packing.karger import build_cut_skeleton, pack_skeleton, select_trees  # noqa: F401
 from repro.params import CutPipelineParams
-from repro.pram.ledger import Ledger
+from repro.pram.ledger import Ledger, LedgerTape
 from repro.resilience.budget import checkpoint as _checkpoint
 from repro.results import CutResult
 from repro.sparsify.hierarchy import HierarchyParams
@@ -46,6 +46,7 @@ __all__ = [
     "approximate_stage",
     "search_stage",
     "assemble_result",
+    "LOCKSTEP_GROUP",
     "resolve_max_trees",
     "branching_for_epsilon",
 ]
@@ -114,6 +115,14 @@ def approximate_stage(
     return max(approx.estimate, 1e-12)
 
 
+#: Trees whose 2-respecting searches :func:`search_stage` runs in
+#: lockstep.  A group of g trees holds g stacked oracles at once (~0.9
+#: MiB of arrays per tree at n = 100, m = 2500) and pays the terminal
+#: search's per-round fixed cost once for all g; groups of 4 reach most
+#: of the gain of larger ones (docs/performance.md).
+LOCKSTEP_GROUP = 4
+
+
 def search_stage(
     graph: Graph,
     tree_parents: Sequence[np.ndarray],
@@ -128,26 +137,37 @@ def search_stage(
     """The per-query stage: every candidate tree's minimum 2-respecting
     cut (Theorem 4.2), searched in logically-parallel ledger branches.
 
+    The trees are searched in lockstep groups of :data:`LOCKSTEP_GROUP`.
+    Each tree charges a :class:`~repro.pram.ledger.LedgerTape`; after
+    its group, the tapes are replayed in tree order, each into its own
+    branch, so the ledger sees exactly the calls of a tree-by-tree
+    search.
+
     ``trees_done``/``best`` resume a partial search (the first
     ``trees_done`` trees were searched already and ``best`` is their
-    minimum); ``on_tree(done, best)`` reports progress after each tree.
+    minimum); ``on_tree(done, best)`` reports progress after each group.
     """
     with obs.phase("two-respecting", ledger):
         with ledger.parallel() as par:
-            for i in range(trees_done, len(tree_parents)):
-                _checkpoint("mincut.tree")
-                with par.branch():
-                    res = two_respecting_min_cut(
-                        graph,
-                        tree_parents[i],
-                        branching=branching,
-                        decomposition=decomposition,
-                        ledger=ledger,
-                    )
+            for start in range(trees_done, len(tree_parents), LOCKSTEP_GROUP):
+                group = tree_parents[start : start + LOCKSTEP_GROUP]
+                for _ in group:
+                    _checkpoint("mincut.tree")
+                tapes = [LedgerTape() for _ in group]
+                results = two_respecting_min_cut(
+                    graph,
+                    np.stack(group),
+                    branching=branching,
+                    decomposition=decomposition,
+                    ledger=tapes,
+                )
+                for res, tape in zip(results, tapes):
+                    with par.branch():
+                        tape.replay(ledger, phase=lambda name: obs.phase(name, ledger))
                     if best is None or res.value < best.value:
                         best = res
                 if on_tree is not None:
-                    on_tree(i + 1, best)
+                    on_tree(start + len(group), best)
     assert best is not None  # packing always yields >= 1 tree
     return best
 

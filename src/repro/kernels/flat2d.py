@@ -11,12 +11,21 @@ instead of ~n log n Python node objects:
 * per-x-level offset/size tables that turn (x-level, node, depth, index)
   into one flat position.
 
+One instance holds a *stack* of k point sets of the same size (k = 1
+for a single set).  Every set of one size has the same x-levels and the
+same auxiliary shapes, so the per-level tables are shared; only the
+key, weight and cell arrays repeat, set-major, with a fixed per-set
+stride.  Every query names its set (``tree``); stats counters are kept
+per set.  The 2-respecting search stacks the oracles of a group of
+packed trees this way, so one batched query can mix the trees' rows.
+
 The parity contract (see :mod:`repro.kernels`): answers are
 **bit-identical** to the reference — every query folds exactly the cells
 the reference visits, in exactly the reference order (left-side cells
 ascending, right-side cells descending, one independent partial per
 auxiliary node, partials folded in x-descent order) — and visited-node
-counts, stats counters and ledger charge amounts are identical.
+counts, stats counters and ledger charge amounts are identical.  A set
+answers identically whether it is stacked or alone.
 
 :meth:`query` is a scalar port of the reference loops over the flat
 arrays.  :meth:`query_many` answers a whole array of rectangles at once:
@@ -24,30 +33,36 @@ the x-descent and the auxiliary binary searches/folds run as masked
 NumPy rounds across all queries simultaneously, so the per-query Python
 overhead disappears.  Construction is also vectorised: each x-level's
 per-node stable y-sorts and b-ary up-sweeps are single reshaped NumPy
-operations (identical additions in identical order), ~20x faster than
-building the node objects.
+operations over every node of every set (identical additions in
+identical order), ~20x faster than building the node objects.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from repro.obs.counters import counters
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
-from repro.primitives.sort import parallel_argsort
 from repro.rangesearch.tree1d import RangeQueryStats
 
 __all__ = ["FlatRangeTree2D"]
 
-#: Batch sizes at or below this answer :meth:`FlatRangeTree2D.query_many`
-#: with a scalar loop — the vectorized rounds carry ~1ms of fixed mask
-#: cost, which a ~8us/rectangle scalar loop undercuts until roughly two
-#: hundred rectangles.  Affects wall-clock only, never parity.
+#: Single-set batch sizes at or below this answer
+#: :meth:`FlatRangeTree2D.query_many` with a scalar loop.  Scalar queries
+#: measure 20-40us per rectangle on the 2-respecting search's trees
+#: (m ~ 2000), and the vectorized rounds already win from ~50-100
+#: rectangles there; the cutoff has not been retuned since.  Affects
+#: wall-clock only, never parity.
 _SCALAR_BATCH_CUTOFF = 192
+
+#: Longer batches run the vectorized traversal this many rectangles at a
+#: time, which bounds its temporaries (a lockstep round of the terminal
+#: search can ask ~10k rectangles).  Affects memory and wall-clock only.
+_VECTOR_CHUNK = 1024
 
 
 class _ChargeRecorder:
@@ -87,23 +102,36 @@ def _chain_levels(mat: np.ndarray, b: int) -> List[np.ndarray]:
 
 
 class FlatRangeTree2D:
-    """Query-compatible flat replacement for ``RangeTree2D``."""
+    """Query-compatible flat replacement for ``RangeTree2D``, over a
+    stack of same-size point sets.
+
+    ``xs``, ``ys``, ``ws`` are 1-D (one set) or 2-D ``(k, size)`` (row i
+    is set i).  ``ledger`` is charged each set's build, in set order —
+    exactly what a one-set build of that set charges (see
+    :meth:`charge_build`).
+    """
 
     __slots__ = (
         "size",
+        "k",
         "branching",
-        "stats",
-        "aux_stats",
+        "tree_stats",
+        "tree_aux_stats",
         "_x_depth",
         "xs_np",
         "leaf_ys_np",
         "leaf_ws_np",
         "YS_ALL",
         "AUX",
+        "_ys_stride",
+        "_aux_stride",
+        "_aux_stride_py",
+        "_mirror_tree",
         "_xs_list",
         "_leaf_ys_list",
-        "_leaf_ws_list",
+        "_leaf_ws_mv",
         "_ys_list",
+        "_aux_mv",
         "_nxt_py",
         "_kfull_py",
         "_ysbase_py",
@@ -113,7 +141,6 @@ class FlatRangeTree2D:
         "_sctail_py",
         "_auxbase_py",
         "_sfull_py",
-        "_aux_lists",
         "_int_keys",
         "_nxt",
         "_kfull",
@@ -144,15 +171,30 @@ class FlatRangeTree2D:
         ws = np.asarray(ws, dtype=np.float64)
         if not (xs.shape == ys.shape == ws.shape):
             raise ValueError("point array length mismatch")
-        order = parallel_argsort(xs, ledger=ledger)
-        self.xs_np = xs[order]
-        self.leaf_ys_np = ys[order]
-        self.leaf_ws_np = ws[order]
-        self.size = int(self.xs_np.shape[0])
+        if xs.ndim not in (1, 2):
+            raise ValueError("points must be one set (1-D) or a stack (2-D)")
+        xs2 = xs.reshape(1, -1) if xs.ndim == 1 else xs
+        ys2 = ys.reshape(xs2.shape)
+        ws2 = ws.reshape(xs2.shape)
+        k, size = xs2.shape
+        if k < 1:
+            raise ValueError("a stack needs at least one point set")
+        # stable per-set x-sort (row-wise argsort == the one-set argsort)
+        order = np.argsort(xs2, axis=1, kind="stable")
+        sx = np.take_along_axis(xs2, order, axis=1)
+        cur_ys = np.take_along_axis(ys2, order, axis=1)
+        cur_ws = np.take_along_axis(ws2, order, axis=1)
+        self.xs_np = sx.ravel()
+        self.leaf_ys_np = cur_ys.ravel()
+        self.leaf_ws_np = cur_ws.ravel()
+        self.size = int(size)
+        self.k = int(k)
         b = self.branching = int(branching)
-        size = self.size
 
-        # per-x-level tables (appended per level, frozen to arrays below)
+        # pass 1, shapes only: the per-x-level tables and every cell
+        # array's length, so pass 2 writes each level straight into its
+        # final place (no per-level chunks to concatenate, whose copy
+        # would double the build's peak memory)
         nxt_l: List[int] = []
         kfull_l: List[int] = []
         tail_l: List[int] = []
@@ -162,62 +204,29 @@ class FlatRangeTree2D:
         scfull_l: List[int] = []
         sctail_l: List[int] = []
         sfull_l: List[List[int]] = []
-        # aux cell arrays, keyed by auxiliary depth j; each entry is a list
-        # of (x-level chunks) concatenated at the end.  auxbase[L][j] is the
-        # offset of x-level L's depth-j region inside AUX[j].
-        aux_chunks: List[List[np.ndarray]] = []
+        # auxbase[L][j] is the offset of x-level L's depth-j region inside
+        # one set's stride of AUX[j]; aux_sizes[j] is that stride.
         aux_sizes: List[int] = []
         auxbase_l: List[List[int]] = []
-        ys_chunks: List[np.ndarray] = []
         ys_total = 0
-
-        cur_ys = self.leaf_ys_np
-        cur_ws = self.leaf_ws_np
         block = 1
         while block < max(size, 1):
             nxt = block * b
             k_full = size // nxt
             tail = size - k_full * nxt
-            ny = cur_ys.copy()
-            nw = cur_ws.copy()
-            split = k_full * nxt
-            if k_full:
-                ym = ny[:split].reshape(k_full, nxt)
-                o = np.argsort(ym, axis=1, kind="stable")
-                ny[:split] = np.take_along_axis(ym, o, axis=1).ravel()
-                nw[:split] = np.take_along_axis(
-                    nw[:split].reshape(k_full, nxt), o, axis=1
-                ).ravel()
-            if tail:
-                o = np.argsort(ny[split:], kind="stable")
-                ny[split:] = ny[split:][o]
-                nw[split:] = nw[split:][o]
-
             full_sizes = _chain_sizes(nxt, b)
             tail_sizes = _chain_sizes(tail, b) if tail else []
-            full_levels = (
-                _chain_levels(nw[:split].reshape(k_full, nxt), b) if k_full else []
-            )
-            tail_levels = (
-                _chain_levels(nw[split:].reshape(1, tail), b) if tail else []
-            )
             d_full = len(full_sizes)
             d_tail = len(tail_sizes)
             bases: List[int] = []
             for j in range(max(d_full if k_full else 0, d_tail)):
-                while len(aux_chunks) <= j:
-                    aux_chunks.append([])
+                while len(aux_sizes) <= j:
                     aux_sizes.append(0)
                 bases.append(aux_sizes[j])
                 if k_full and j < d_full:
-                    arr = full_levels[j].ravel()
-                    aux_chunks[j].append(arr)
-                    aux_sizes[j] += arr.shape[0]
+                    aux_sizes[j] += k_full * full_sizes[j]
                 if tail and j < d_tail:
-                    arr = tail_levels[j].ravel()
-                    aux_chunks[j].append(arr)
-                    aux_sizes[j] += arr.shape[0]
-
+                    aux_sizes[j] += tail_sizes[j]
             nxt_l.append(nxt)
             kfull_l.append(k_full)
             tail_l.append(tail)
@@ -228,39 +237,54 @@ class FlatRangeTree2D:
             sctail_l.append(2 * log2ceil(max(tail, 2)) if tail else 0)
             sfull_l.append(full_sizes)
             auxbase_l.append(bases)
-            ys_chunks.append(ny)
             ys_total += size
-
-            # the reference charges only the per-level merge here (its
-            # per-node RangeTree1D builds go to NULL_LEDGER)
-            ledger.charge(
-                work=float(2 * max(size, 1)),
-                depth=float(log2ceil(max(size, 2))),
-            )
-            cur_ys, cur_ws = ny, nw
             block = nxt
+
+        # pass 2: per x-level, every node of every set stably y-sorted at
+        # once, and the b-ary up-sweeps of every node at once
+        ys_all = np.empty((k, ys_total), dtype=ys.dtype)
+        aux_all = [np.empty((k, s), dtype=np.float64) for s in aux_sizes]
+        for L, nxt in enumerate(nxt_l):
+            k_full = kfull_l[L]
+            tail = tail_l[L]
+            split = k_full * nxt
+            ny = ys_all[:, L * size : (L + 1) * size]
+            ny[...] = cur_ys
+            nw = cur_ws.copy()
+            if k_full:
+                # every full node of every set is one row
+                ym = ny[:, :split].reshape(k * k_full, nxt)
+                o = np.argsort(ym, axis=1, kind="stable")
+                ny[:, :split] = np.take_along_axis(ym, o, axis=1).reshape(k, split)
+                nw[:, :split] = np.take_along_axis(
+                    nw[:, :split].reshape(k * k_full, nxt), o, axis=1
+                ).reshape(k, split)
+            if tail:
+                o = np.argsort(ny[:, split:], axis=1, kind="stable")
+                ny[:, split:] = np.take_along_axis(ny[:, split:], o, axis=1)
+                nw[:, split:] = np.take_along_axis(nw[:, split:], o, axis=1)
+            if k_full:
+                levels = _chain_levels(nw[:, :split].reshape(k * k_full, nxt), b)
+                for j, arr in enumerate(levels):
+                    base = auxbase_l[L][j]
+                    aux_all[j][:, base : base + arr.size // k] = arr.reshape(k, -1)
+            if tail:
+                levels = _chain_levels(nw[:, split:], b)
+                for j, arr in enumerate(levels):
+                    base = auxbase_l[L][j] + k_full * sfull_l[L][j]
+                    aux_all[j][:, base : base + arr.shape[1]] = arr
+            cur_ys, cur_ws = ny, nw
 
         nl = len(nxt_l)
         self._num_levels = nl
         self._x_depth = nl + 1
-        self.YS_ALL = (
-            np.concatenate(ys_chunks) if ys_chunks else np.empty(0, dtype=ys.dtype)
-        )
-        self.AUX = [
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-            for chunks in aux_chunks
-        ]
+        self.YS_ALL = ys_all.ravel()
+        self._ys_stride = ys_total
+        self.AUX = [a.ravel() for a in aux_all]
+        self._aux_stride_py = list(aux_sizes)
+        self._aux_stride = np.asarray(aux_sizes, dtype=np.int64)
         self._max_aux_depth = len(self.AUX)
-        # list mirrors of the *keys* (bisect on a numpy array unboxes one
-        # scalar per comparison; on a list it compares cached floats).
-        # AUX cell mirrors are built lazily on the first scalar query —
-        # batched-only workloads never pay for them.
-        self._aux_lists: List[List[float]] | None = None
         self._int_keys = bool(np.issubdtype(self.YS_ALL.dtype, np.integer))
-        self._xs_list = self.xs_np.tolist()
-        self._leaf_ys_list = self.leaf_ys_np.tolist()
-        self._leaf_ws_list = self.leaf_ws_np.tolist()
-        self._ys_list = self.YS_ALL.tolist()
         self._nxt = np.asarray(nxt_l, dtype=np.int64)
         self._kfull = np.asarray(kfull_l, dtype=np.int64)
         self._tail = np.asarray(tail_l, dtype=np.int64)
@@ -289,28 +313,46 @@ class FlatRangeTree2D:
         self._sctail_py = sctail_l
         self._auxbase_py = auxbase_l
         self._sfull_py = sfull_l
-        self.stats = RangeQueryStats()
-        self.aux_stats = RangeQueryStats()
+        self.drop_scalar_mirrors()
+        self.tree_stats = [RangeQueryStats() for _ in range(self.k)]
+        self.tree_aux_stats = [RangeQueryStats() for _ in range(self.k)]
+        for _ in range(self.k):
+            self.charge_build(ledger)
+
+    def charge_build(self, ledger: Ledger) -> None:
+        """Charge one set's build: the x-sort, then the reference's
+        per-level merge (its per-node RangeTree1D builds go to
+        NULL_LEDGER).  Depends only on the size and the branching, so
+        every set of a stack charges the same sequence."""
+        size = max(self.size, 1)
+        depth = float(log2ceil(max(self.size, 2)))
+        ledger.charge(work=float(size), depth=depth)
+        for _ in range(self._num_levels):
+            ledger.charge(work=float(2 * size), depth=depth)
 
     # ------------------------------------------------------------------
-    # pickling (process-pool transport)
+    # scalar mirrors and pickling
     # ------------------------------------------------------------------
-    # The Python-list mirrors (_xs_list & co.) are pure caches: exact
-    # float images of the numpy arrays, kept only because bisect and the
-    # scalar fold run faster over lists.  They are dropped from the
-    # pickled state — they double the payload a process worker has to
-    # unpickle — and lazily rebuilt on the first scalar query
-    # (float64 -> float is exact, so a rebuilt mirror is bit-identical).
-    # Unpickling restores every ndarray slot as is, so no sort or level
-    # build reruns in the worker.
+    # The scalar path reads one set at a time through mirrors of that
+    # set: Python lists of the keys (bisect on a list compares cached
+    # ints; on a numpy array or memoryview it unboxes one scalar per
+    # comparison) and zero-copy memoryviews of the weights and cells
+    # (float64 -> float is exact, so a memoryview read is bit-identical
+    # to an ndarray read and a slice sums in the same order).  The key
+    # lists cover only the set last queried; a scalar query on another
+    # set rebuilds them.  Mirrors are pure caches: they are dropped from
+    # the pickled state (they would double a process worker's payload)
+    # and rebuilt on the first scalar query.  Unpickling restores every
+    # ndarray slot as is, so no sort or level build reruns in the worker.
     _MIRROR_SLOTS = (
+        "_mirror_tree",
         "_xs_list",
         "_leaf_ys_list",
-        "_leaf_ws_list",
+        "_leaf_ws_mv",
         "_ys_list",
-        "_aux_lists",
-        "stats",
-        "aux_stats",
+        "_aux_mv",
+        "tree_stats",
+        "tree_aux_stats",
     )
 
     def __getstate__(self) -> dict:
@@ -323,39 +365,75 @@ class FlatRangeTree2D:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
+        self.drop_scalar_mirrors()
+        self.tree_stats = [RangeQueryStats() for _ in range(self.k)]
+        self.tree_aux_stats = [RangeQueryStats() for _ in range(self.k)]
+
+    def drop_scalar_mirrors(self) -> None:
+        """Free the scalar mirrors (the next scalar query rebuilds them);
+        a caller done with a set's scalar queries frees its key lists."""
+        self._mirror_tree = -1
         self._xs_list = None
         self._leaf_ys_list = None
-        self._leaf_ws_list = None
+        self._leaf_ws_mv = None
         self._ys_list = None
-        self._aux_lists = None
-        self.stats = RangeQueryStats()
-        self.aux_stats = RangeQueryStats()
+        self._aux_mv = None
 
-    def _ensure_scalar_mirrors(self) -> None:
-        """Rebuild the list mirrors after unpickling (no-op otherwise)."""
-        if self._xs_list is None:
-            self._xs_list = self.xs_np.tolist()
-            self._leaf_ys_list = self.leaf_ys_np.tolist()
-            self._leaf_ws_list = self.leaf_ws_np.tolist()
-            self._ys_list = self.YS_ALL.tolist()
+    def _scalar_mirrors(self, tree: int) -> None:
+        """Point the scalar mirrors at set ``tree`` (no-op if they are)."""
+        if self._mirror_tree == tree:
+            return
+        lo = tree * self.size
+        hi = lo + self.size
+        self._xs_list = self.xs_np[lo:hi].tolist()
+        self._leaf_ys_list = self.leaf_ys_np[lo:hi].tolist()
+        self._leaf_ws_mv = memoryview(self.leaf_ws_np)[lo:hi]
+        ys = self._ys_stride
+        self._ys_list = self.YS_ALL[tree * ys : (tree + 1) * ys].tolist()
+        self._aux_mv = [
+            memoryview(a)[tree * s : (tree + 1) * s]
+            for a, s in zip(self.AUX, self._aux_stride_py)
+        ]
+        self._mirror_tree = tree
 
     # ------------------------------------------------------------------
-    # offsets
+    # stats
     # ------------------------------------------------------------------
-    def _aux_offset(self, level: int, node: int, j: int) -> int:
-        """Flat position of (x-level, node)'s depth-j cell 0 in AUX[j]."""
-        k_full = self._kfull_py[level]
-        base = self._auxbase_py[level][j]
-        sfj = self._sfull_py[level][j]
-        if node < k_full:
-            return base + node * sfj
-        return base + k_full * sfj
+    @property
+    def stats(self) -> RangeQueryStats:
+        """First-level counters summed over the stack's sets."""
+        agg = RangeQueryStats()
+        for st in self.tree_stats:
+            agg.merge(st)
+        return agg
+
+    def collect_aux_stats(self) -> RangeQueryStats:
+        """Aggregate auxiliary-tree counters (flat arrays keep one shared
+        aggregate per set instead of per-node counters; totals are
+        identical)."""
+        agg = RangeQueryStats()
+        for st in self.tree_aux_stats:
+            agg.merge(st)
+        return agg
+
+    @property
+    def total_nodes_visited(self) -> int:
+        """First-level + auxiliary visited nodes across all queries."""
+        return self.stats.nodes_visited + self.collect_aux_stats().nodes_visited
+
+    def tree_nodes_visited(self, tree: int) -> int:
+        """First-level + auxiliary visited nodes of set ``tree``'s queries."""
+        return (
+            self.tree_stats[tree].nodes_visited
+            + self.tree_aux_stats[tree].nodes_visited
+        )
 
     # ------------------------------------------------------------------
     # scalar query (port of RangeTree2D.query over flat arrays)
     # ------------------------------------------------------------------
     def _aux_scalar(self, level: int, node: int, y1, y2) -> Tuple[float, int, int]:
-        """One auxiliary 1-D query: ``(partial, visited, node_depth)``."""
+        """One auxiliary 1-D query on the mirrored set:
+        ``(partial, visited, node_depth)``."""
         nxt = self._nxt_py[level]
         lo = node * nxt
         hi = lo + nxt
@@ -365,7 +443,7 @@ class FlatRangeTree2D:
         kfull = self._kfull_py[level]
         is_tail = node >= kfull
         d = self._dtail_py[level] if is_tail else self._dfull_py[level]
-        st = self.aux_stats
+        st = self.tree_aux_stats[self._mirror_tree]
         st.queries += 1
         if s == 0 or y2 < y1:
             return 0.0, 1, d
@@ -376,11 +454,7 @@ class FlatRangeTree2D:
         b = self.branching
         total = 0.0
         cells = 0
-        aux = self._aux_lists
-        if aux is None:
-            # float64 -> Python float is exact, so list reads are
-            # bit-identical to ndarray reads
-            aux = self._aux_lists = [a.tolist() for a in self.AUX]
+        aux = self._aux_mv
         bases = self._auxbase_py[level]
         sfull = self._sfull_py[level]
         nodeoff = kfull if is_tail else node
@@ -426,27 +500,33 @@ class FlatRangeTree2D:
         sc = self._sctail_py[level] if is_tail else self._scfull_py[level]
         return total, cells + sc, d
 
-    def query(self, x1, x2, y1, y2, ledger: Ledger = NULL_LEDGER) -> float:
-        """Total weight of points with x in [x1, x2], y in [y1, y2]."""
-        stats = self.stats
+    def query(
+        self, x1, x2, y1, y2, ledger: Ledger = NULL_LEDGER, tree: int = 0
+    ) -> float:
+        """Total weight of set ``tree``'s points with x in [x1, x2], y in
+        [y1, y2]."""
+        stats = self.tree_stats[tree]
         stats.queries += 1
         if self.size == 0 or x2 < x1 or y2 < y1:
             ledger.charge(work=1.0, depth=1.0)
             return 0.0
-        self._ensure_scalar_mirrors()
+        self._scalar_mirrors(tree)
         l = bisect_left(self._xs_list, x1)
         r = bisect_right(self._xs_list, x2)
         total = 0.0
         visited = 2 * log2ceil(max(self.size, 2))
         b = self.branching
-        leaf_ys, leaf_ws = self._leaf_ys_list, self._leaf_ws_list
+        leaf_ys, leaf_ws = self._leaf_ys_list, self._leaf_ws_mv
+        set_lo = tree * self.size
         if l % b:
             lend = min(r, l - l % b + b)
             k = lend - l
             if k > 4:
-                seg = self.leaf_ys_np[l:lend]
+                seg = self.leaf_ys_np[set_lo + l : set_lo + lend]
                 take = (y1 <= seg) & (seg <= y2)
-                total = sum(self.leaf_ws_np[l:lend][take].tolist(), total)
+                total = sum(
+                    self.leaf_ws_np[set_lo + l : set_lo + lend][take].tolist(), total
+                )
                 visited += k
                 l = lend
             else:
@@ -459,9 +539,12 @@ class FlatRangeTree2D:
             rnew = max(l, r - r % b)
             k = r - rnew
             if k > 4:
-                seg = self.leaf_ys_np[rnew:r]
+                seg = self.leaf_ys_np[set_lo + rnew : set_lo + r]
                 take = (y1 <= seg) & (seg <= y2)
-                total = sum(self.leaf_ws_np[rnew:r][take].tolist()[::-1], total)
+                total = sum(
+                    self.leaf_ws_np[set_lo + rnew : set_lo + r][take].tolist()[::-1],
+                    total,
+                )
                 visited += k
                 r = rnew
             else:
@@ -502,9 +585,18 @@ class FlatRangeTree2D:
         return float(total)
 
     def query_pair_x(
-        self, x1, x2, ya1, ya2, yb1, yb2, ledger: Ledger = NULL_LEDGER
+        self,
+        x1,
+        x2,
+        ya1,
+        ya2,
+        yb1,
+        yb2,
+        ledger: Ledger = NULL_LEDGER,
+        tree: int = 0,
     ) -> Tuple[float, float]:
-        """Two scalar queries sharing one x-range, one x-descent.
+        """Two scalar queries on set ``tree`` sharing one x-range, one
+        x-descent.
 
         Returns ``(total_a, total_b)`` for rectangles
         ``[x1,x2] x [ya1,ya2]`` and ``[x1,x2] x [yb1,yb2]``; answers,
@@ -519,19 +611,19 @@ class FlatRangeTree2D:
         if ea or eb:
             # a degenerate side charges (1, 1); keep the reference call
             # sequence rather than special-casing the fused walk
-            va = self.query(x1, x2, ya1, ya2, ledger=ledger)
-            vb = self.query(x1, x2, yb1, yb2, ledger=ledger)
+            va = self.query(x1, x2, ya1, ya2, ledger=ledger, tree=tree)
+            vb = self.query(x1, x2, yb1, yb2, ledger=ledger, tree=tree)
             return va, vb
-        stats = self.stats
+        stats = self.tree_stats[tree]
         stats.queries += 2
-        self._ensure_scalar_mirrors()
+        self._scalar_mirrors(tree)
         l = bisect_left(self._xs_list, x1)
         r = bisect_right(self._xs_list, x2)
         ta = 0.0
         tb = 0.0
         visited = 2 * log2ceil(max(self.size, 2))
         b = self.branching
-        leaf_ys, leaf_ws = self._leaf_ys_list, self._leaf_ws_list
+        leaf_ys, leaf_ws = self._leaf_ys_list, self._leaf_ws_mv
         if l % b:
             lend = min(r, l - l % b + b)
             while l < lend:
@@ -631,12 +723,26 @@ class FlatRangeTree2D:
             active = lo < hi
         return lo
 
+    def _count_per_tree(
+        self, stats: List[RangeQueryStats], trees: np.ndarray, field: str,
+        amounts: Union[np.ndarray, None] = None,
+    ) -> None:
+        """Add each row's amount (1 when None) to its set's counter."""
+        if self.k == 1:
+            total = trees.shape[0] if amounts is None else int(amounts.sum())
+            setattr(stats[0], field, getattr(stats[0], field) + total)
+            return
+        per = np.bincount(trees, weights=amounts, minlength=self.k)
+        for st, add in zip(stats, per.tolist()):
+            setattr(st, field, getattr(st, field) + int(add))
+
     def _aux_many(
         self,
         levels: np.ndarray,
         nodes: np.ndarray,
         y1: np.ndarray,
         y2: np.ndarray,
+        trees: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched auxiliary 1-D queries: ``(partials, visited, depths)``.
 
@@ -652,9 +758,9 @@ class FlatRangeTree2D:
         is_tail = nodes >= self._kfull[levels]
         dep = np.where(is_tail, self._dtail[levels], self._dfull[levels])
         sc = np.where(is_tail, self._sctail[levels], self._scfull[levels])
-        self.aux_stats.queries += n
+        self._count_per_tree(self.tree_aux_stats, trees, "queries")
         empty = (s == 0) | (y2 < y1)
-        base = self._ysbase[levels] + lo
+        base = trees * self._ys_stride + self._ysbase[levels] + lo
         if self._int_keys:
             # integer keys: bisect_right(a, y2) == bisect_left(a, y2+1),
             # so both boundary searches fuse into one doubled-row pass
@@ -679,7 +785,11 @@ class FlatRangeTree2D:
         nodeoff = np.where(is_tail, kfull, nodes)
         j = 0
         while j < self._max_aux_depth and (l < r).any():
-            off = self._auxbase[levels, j] + nodeoff * self._sfull[levels, j]
+            off = (
+                trees * self._aux_stride[j]
+                + self._auxbase[levels, j]
+                + nodeoff * self._sfull[levels, j]
+            )
             arr = aux[j]
             if b == 2:
                 # binary chains add at most one left and one right cell
@@ -713,7 +823,7 @@ class FlatRangeTree2D:
             l //= b
             r //= b
             j += 1
-        self.aux_stats.nodes_visited += int(cells.sum())
+        self._count_per_tree(self.tree_aux_stats, trees, "nodes_visited", cells)
         vis = np.where(empty, 1, cells + sc)
         return parts, vis, dep
 
@@ -723,37 +833,46 @@ class FlatRangeTree2D:
         x2: np.ndarray,
         y1: np.ndarray,
         y2: np.ndarray,
+        tree: Union[int, np.ndarray] = 0,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched rectangle queries.
+        """Batched rectangle queries; row i asks set ``tree[i]`` (or every
+        row set ``tree`` when it is an int).
 
         Returns ``(totals, works, depths)`` where ``works[i]`` and
         ``depths[i]`` are exactly the amounts one reference
         :meth:`query` call would charge for query i.  No ledger is
         charged here — callers emulate the reference charge structure
         (sequential sum, parallel max, or ``batch``-scoped) from the
-        per-query arrays.  Stats counters update exactly as the
-        equivalent scalar calls would.
+        per-query arrays.  Each set's stats counters update exactly as
+        the equivalent scalar calls would.  A row's answer and charges
+        do not depend on the other rows, so rows of different sets mix
+        freely in one batch.
         """
         x1 = np.asarray(x1, dtype=np.int64)
         x2 = np.asarray(x2, dtype=np.int64)
         y1 = np.asarray(y1, dtype=np.int64)
         y2 = np.asarray(y2, dtype=np.int64)
         q = x1.shape[0]
+        trees = np.broadcast_to(np.asarray(tree, dtype=np.int64), (q,))
+        one = self.k == 1 or q == 0 or bool(trees.min() == trees.max())
         reg = counters()
         if reg.enabled:
             # observability only — never part of the parity contract
             reg.add("kernels.batch_calls")
             reg.add("kernels.batch_entries", float(q))
-        if 0 < q <= _SCALAR_BATCH_CUTOFF:
-            # tiny batches: the vectorized rounds' fixed cost exceeds a
-            # scalar loop; answers/charges/stats are identical either way
+        if 0 < q <= _SCALAR_BATCH_CUTOFF and one:
+            # tiny one-set batches: the vectorized rounds' fixed cost
+            # exceeds a scalar loop; answers/charges/stats are identical
+            # either way (mixed-set batches stay vectorized, so the
+            # scalar mirrors never flip between sets within a batch)
+            t = int(trees[0])
             totals = np.empty(q, dtype=np.float64)
             works = np.empty(q, dtype=np.float64)
             depths = np.empty(q, dtype=np.float64)
             rec = _ChargeRecorder()
             for i in range(q):
                 totals[i] = self.query(
-                    int(x1[i]), int(x2[i]), int(y1[i]), int(y2[i]), ledger=rec
+                    int(x1[i]), int(x2[i]), int(y1[i]), int(y2[i]), ledger=rec, tree=t
                 )
                 works[i] = rec.work
                 depths[i] = rec.depth
@@ -761,7 +880,7 @@ class FlatRangeTree2D:
         totals = np.zeros(q, dtype=np.float64)
         works = np.ones(q, dtype=np.float64)
         depths = np.ones(q, dtype=np.float64)
-        self.stats.queries += q
+        self._count_per_tree(self.tree_stats, trees, "queries")
         if q == 0:
             return totals, works, depths
         nonempty = np.ones(q, dtype=bool) if self.size else np.zeros(q, dtype=bool)
@@ -770,19 +889,50 @@ class FlatRangeTree2D:
         if not nonempty.any():
             return totals, works, depths
         idx = np.flatnonzero(nonempty)
-        qy1 = y1[idx]
-        qy2 = y2[idx]
-        l = np.searchsorted(self.xs_np, x1[idx], side="left").astype(np.int64)
-        r = np.searchsorted(self.xs_np, x2[idx], side="right").astype(np.int64)
-        nq = idx.shape[0]
+        # rows are independent, so a long batch runs in chunks: same
+        # answers, charges and stats, with the traversal's temporaries
+        # (~20 auxiliary queries per rectangle) bounded per chunk
+        for c in range(0, idx.shape[0], _VECTOR_CHUNK):
+            rows = idx[c : c + _VECTOR_CHUNK]
+            totals[rows], works[rows], depths[rows] = self._query_rows(
+                x1[rows], x2[rows], y1[rows], y2[rows], trees[rows]
+            )
+        return totals, works, depths
+
+    def _query_rows(
+        self,
+        x1: np.ndarray,
+        x2: np.ndarray,
+        qy1: np.ndarray,
+        qy2: np.ndarray,
+        tr: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The vectorized traversal of nonempty rectangles, row i on set
+        ``tr[i]``: ``(totals, works, depths)``."""
+        size = self.size
+        if self.k == 1 or tr.min() == tr.max():
+            t = int(tr[0])
+            xs = self.xs_np[t * size : (t + 1) * size]
+            l = np.searchsorted(xs, x1, side="left").astype(np.int64)
+            r = np.searchsorted(xs, x2, side="right").astype(np.int64)
+        else:
+            l = np.empty(tr.shape[0], dtype=np.int64)
+            r = np.empty(tr.shape[0], dtype=np.int64)
+            for t in range(self.k):
+                m = tr == t
+                xs = self.xs_np[t * size : (t + 1) * size]
+                l[m] = np.searchsorted(xs, x1[m], side="left")
+                r[m] = np.searchsorted(xs, x2[m], side="right")
+        set_lo = tr * size  # each row's offset into the leaf arrays
+        nq = tr.shape[0]
         tot = np.zeros(nq, dtype=np.float64)
-        visited = np.full(nq, 2 * log2ceil(max(self.size, 2)), dtype=np.int64)
+        visited = np.full(nq, 2 * log2ceil(max(size, 2)), dtype=np.int64)
         b = self.branching
         leaf_ys, leaf_ws = self.leaf_ys_np, self.leaf_ws_np
         # level 0: leaves
         if b == 2:
             ml = ((l & 1) == 1) & (l < r)
-            pos = np.where(ml, l, 0)
+            pos = set_lo + np.where(ml, l, 0)
             yv = leaf_ys[pos]
             take = ml & (qy1 <= yv) & (yv <= qy2)
             tot += np.where(take, leaf_ws[pos], 0.0)
@@ -790,7 +940,7 @@ class FlatRangeTree2D:
             l = l + ml
             mr = ((r & 1) == 1) & (l < r)
             r = r - mr
-            pos = np.where(mr, r, 0)
+            pos = set_lo + np.where(mr, r, 0)
             yv = leaf_ys[pos]
             take = mr & (qy1 <= yv) & (yv <= qy2)
             tot += np.where(take, leaf_ws[pos], 0.0)
@@ -801,7 +951,7 @@ class FlatRangeTree2D:
                 if not m.any():
                     break
                 mi = np.flatnonzero(m)
-                pos = l[mi]
+                pos = set_lo[mi] + l[mi]
                 yv = leaf_ys[pos]
                 take = (qy1[mi] <= yv) & (yv <= qy2[mi])
                 ti = mi[take]
@@ -814,7 +964,7 @@ class FlatRangeTree2D:
                     break
                 mi = np.flatnonzero(m)
                 r[mi] -= 1
-                pos = r[mi]
+                pos = set_lo[mi] + r[mi]
                 yv = leaf_ys[pos]
                 take = (qy1[mi] <= yv) & (yv <= qy2[mi])
                 ti = mi[take]
@@ -885,28 +1035,18 @@ class FlatRangeTree2D:
             AQ_L = np.concatenate(aq_level)
             AQ_k = np.concatenate(aq_node)
             AQ_s = np.concatenate(aq_seq)
-            parts, vis, dep = self._aux_many(AQ_L, AQ_k, qy1[AQ_q], qy2[AQ_q])
+            parts, vis, dep = self._aux_many(
+                AQ_L, AQ_k, qy1[AQ_q], qy2[AQ_q], tr[AQ_q]
+            )
             np.add.at(aux_work, AQ_q, vis)
             np.maximum.at(aux_depth, AQ_q, dep)
             # fold partials into totals in per-query visit order
             for s_pos in range(int(AQ_s.max()) + 1):
                 mm = AQ_s == s_pos
                 tot[AQ_q[mm]] += parts[mm]
-        self.stats.nodes_visited += int(visited.sum())
-        totals[idx] = tot
-        works[idx] = (visited + aux_work).astype(np.float64)
-        depths[idx] = (self._x_depth + aux_depth).astype(np.float64)
-        return totals, works, depths
-
-    # ------------------------------------------------------------------
-    def collect_aux_stats(self) -> RangeQueryStats:
-        """Aggregate auxiliary-tree counters (flat arrays keep one shared
-        aggregate instead of per-node counters; totals are identical)."""
-        agg = RangeQueryStats()
-        agg.merge(self.aux_stats)
-        return agg
-
-    @property
-    def total_nodes_visited(self) -> int:
-        """First-level + auxiliary visited nodes across all queries."""
-        return self.stats.nodes_visited + self.aux_stats.nodes_visited
+        self._count_per_tree(self.tree_stats, tr, "nodes_visited", visited)
+        return (
+            tot,
+            (visited + aux_work).astype(np.float64),
+            (self._x_depth + aux_depth).astype(np.float64),
+        )

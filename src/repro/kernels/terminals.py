@@ -34,19 +34,29 @@ Parity argument
   ``(sum_e w_e, max_e d_e)`` leaves the frame — and therefore the
   ledger — in the identical state.
 
-Requires a prefilled cost cache (``prefill_costs``), like every batched
+Lockstep groups
+---------------
+The searches of several trees run as one state machine: the oracles of
+one stacked range tree form an :class:`OracleForest` (tree i's vertex v
+is forest vertex ``offsets[i] + v``), and each round's probes of *all*
+the trees go to the oracle in one fused batch.  A search's decisions
+depend only on its own tree, so every search takes the same steps as it
+would alone; each tree's charge is summed from its own searches and
+charged on that tree's ledger, with the single-tree charge structure.
+
+Requires prefilled cost caches (``prefill_costs``), like every batched
 oracle entry point; the 2-respecting driver guarantees it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.pram.combinators import log2ceil
-from repro.pram.ledger import Ledger, NULL_LEDGER
+from repro.pram.ledger import Ledger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cutqueries -> kernels)
     from repro.rangesearch.cutqueries import CutOracle
@@ -71,36 +81,54 @@ def _component_child_toward(
         x = np.where(m, p, x)
 
 
+def _offset(a: np.ndarray, off: int) -> np.ndarray:
+    """Shift vertex ids by ``off``, keeping -1 (no vertex) as is."""
+    a = np.asarray(a, dtype=np.int64)
+    return np.where(a >= 0, a + off, -1)
+
+
 def find_interest_terminals_batched(
-    oracle: "CutOracle",
-    cd: "CentroidDecomposition",
-    ledger: Ledger = NULL_LEDGER,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per tree edge, the interest terminals (c_e, d_e) of Claim 4.13,
-    every edge's two searches advanced together with batched probes."""
-    tree = oracle.tree
-    n = tree.n
-    c_e = np.full(n, -1, dtype=np.int64)
-    d_e = np.full(n, -1, dtype=np.int64)
-    parent = np.asarray(tree.parent, dtype=np.int64)
-    edges = np.flatnonzero(parent >= 0)
+    oracles: Sequence["CutOracle"],
+    cds: Sequence["CentroidDecomposition"],
+    ledgers: Sequence[Ledger],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per tree, per tree edge, the interest terminals (c_e, d_e) of
+    Claim 4.13: every edge's two searches of every tree advanced
+    together with batched probes.  ``oracles`` share one stacked range
+    tree; tree i charges ``ledgers[i]``."""
+    from repro.rangesearch.cutqueries import OracleForest
+
+    forest = OracleForest(oracles)
+    offs = forest.offsets
+    k = len(oracles)
+    trees = [o.tree for o in oracles]
+    ns = [t.n for t in trees]
+    parent = np.concatenate([_offset(t.parent, int(o)) for t, o in zip(trees, offs)])
+    post = np.concatenate([np.asarray(t.post, dtype=np.int64) for t in trees])
+    first = post - (
+        np.concatenate([np.asarray(t.size, dtype=np.int64) for t in trees]) - 1
+    )
+    cent_parent = np.concatenate(
+        [_offset(cd.cent_parent, int(o)) for cd, o in zip(cds, offs)]
+    )
+    n_all = int(offs[-1])
+    edges = np.flatnonzero(parent >= 0)  # tree-major, ascending
     ne = edges.shape[0]
-    if ne == 0:
-        with ledger.parallel():
-            pass
-        return c_e, d_e
-    post = np.asarray(tree.post, dtype=np.int64)
-    first = post - (np.asarray(tree.size, dtype=np.int64) - 1)
-    cent_parent = np.asarray(cd.cent_parent, dtype=np.int64)
-    maxlev = cd.height  # O(n) property — hoisted out of the round loop
-    navw = float(log2ceil(max(n, 2)) + 1)
+    # edges[ebound[i]:ebound[i + 1]] are tree i's edges
+    ebound = np.searchsorted(edges, offs)
+    row_tree = np.repeat(np.arange(k), np.diff(ebound))
+    # O(n) properties, hoisted out of the round loop
+    maxlev = np.array([cd.height for cd in cds], dtype=np.int64)[row_tree]
+    navw_t = np.array([float(log2ceil(max(n, 2)) + 1) for n in ns])
+    roots = np.array([t.root for t in trees], dtype=np.int64) + offs[:-1]
+    cent_roots = np.array([cd.cent_root for cd in cds], dtype=np.int64) + offs[:-1]
 
     # children in ``children_lists`` order: grouped by parent, each
     # group in increasing child index (the reference's probe order)
     korder = np.argsort(parent[edges], kind="stable")
     ch_flat = edges[korder]
-    ch_cnt = np.bincount(parent[edges], minlength=n).astype(np.int64)
-    ch_off = np.zeros(n + 1, dtype=np.int64)
+    ch_cnt = np.bincount(parent[edges], minlength=n_all).astype(np.int64)
+    ch_off = np.zeros(n_all + 1, dtype=np.int64)
     np.cumsum(ch_cnt, out=ch_off[1:])
 
     # two searches per edge u: [0:ne] cross (top = root), [ne:) down
@@ -109,8 +137,10 @@ def find_interest_terminals_batched(
     # accumulators recombine exactly
     k2 = 2 * ne
     edge = np.concatenate([edges, edges])
-    top = np.concatenate([np.full(ne, tree.root, dtype=np.int64), edges])
-    cur = np.full(k2, cd.cent_root, dtype=np.int64)
+    top = np.concatenate([roots[row_tree], edges])
+    cur = np.concatenate([cent_roots[row_tree], cent_roots[row_tree]])
+    maxlev = np.concatenate([maxlev, maxlev])
+    navw = np.concatenate([navw_t[row_tree], navw_t[row_tree]])
     kidx = np.zeros(k2, dtype=np.int64)
     iters = np.zeros(k2, dtype=np.int64)
     accw = np.zeros(k2, dtype=np.float64)
@@ -164,7 +194,7 @@ def find_interest_terminals_batched(
             step = step.copy()
             step[ai] = res
         cur[idx] = _component_child_toward(cent_parent, c, step)
-        accw[idx] += navw
+        accw[idx] += navw[idx]
         accd[idx] += 1.0
 
     def enter_scan(idx: np.ndarray) -> None:
@@ -186,7 +216,7 @@ def find_interest_terminals_batched(
             if not di.shape[0]:
                 break
             iters[di] += 1
-            if (iters[di] > maxlev + 2).any():  # pragma: no cover - safety net
+            if (iters[di] > maxlev[di] + 2).any():  # pragma: no cover - safety net
                 raise GraphFormatError("centroid search failed to converge")
             c = cur[di]
             t = top[di]
@@ -201,8 +231,9 @@ def find_interest_terminals_batched(
         live = np.flatnonzero(alive)
         if not live.shape[0]:
             break
-        # both predicate kinds of the round answered by ONE fused batch
-        vals, works, depths = oracle.interested_many(
+        # both predicate kinds of every tree's round answered by ONE
+        # fused batch
+        vals, works, depths = forest.interested_many(
             edge[live], pending[live], is_cross[live]
         )
         accw[live] += works
@@ -220,7 +251,7 @@ def find_interest_terminals_batched(
         if win.shape[0]:
             nxt = pending[win]
             cur[win] = _component_child_toward(cent_parent, cur[win], nxt)
-            accw[win] += navw
+            accw[win] += navw[win]
             accd[win] += 1.0
             pending[win] = -1
             in_scan[win] = False
@@ -232,12 +263,24 @@ def find_interest_terminals_batched(
             more = miss[~done]
             pending[more] = ch_flat[ch_off[cur[more]] + kidx[more]]
 
-    c_e[edge[:ne]] = out[:ne]
-    d_e[edge[ne:]] = out[ne:]
-    with ledger.parallel() as par:
-        with par.branch():
-            ledger.charge(
-                work=float(accw.sum()),
-                depth=float((accd[:ne] + accd[ne:]).max()),
-            )
-    return c_e, d_e
+    results: List[Tuple[np.ndarray, np.ndarray]] = []
+    for i in range(k):
+        a, b = int(ebound[i]), int(ebound[i + 1])
+        o = int(offs[i])
+        c_e = np.full(ns[i], -1, dtype=np.int64)
+        d_e = np.full(ns[i], -1, dtype=np.int64)
+        c_e[edges[a:b] - o] = _offset(out[a:b], -o)
+        d_e[edges[a:b] - o] = _offset(out[ne + a : ne + b], -o)
+        results.append((c_e, d_e))
+        ledger = ledgers[i]
+        if a == b:
+            with ledger.parallel():
+                pass
+            continue
+        with ledger.parallel() as par:
+            with par.branch():
+                ledger.charge(
+                    work=float(np.concatenate([accw[a:b], accw[ne + a : ne + b]]).sum()),
+                    depth=float((accd[a:b] + accd[ne + a : ne + b]).max()),
+                )
+    return results

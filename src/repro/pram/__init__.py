@@ -19,7 +19,7 @@ from repro.pram.executor import (
     prewarm_executor,
     shutdown_shared_pools,
 )
-from repro.pram.ledger import NULL_LEDGER, Ledger, ParallelFrame, PhaseRecord
+from repro.pram.ledger import NULL_LEDGER, Ledger, LedgerTape, ParallelFrame, PhaseRecord
 from repro.pram.trace import SPNode, TraceLedger, schedule_bounds
 from repro.pram.scheduler import (
     BrentProjection,
@@ -31,6 +31,7 @@ from repro.pram.scheduler import (
 
 __all__ = [
     "Ledger",
+    "LedgerTape",
     "ParallelFrame",
     "PhaseRecord",
     "NULL_LEDGER",

@@ -38,13 +38,14 @@ Ledgers nest arbitrarily and are cheap (two ints and a small stack).
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import LedgerError
 
-__all__ = ["Ledger", "ParallelFrame", "PhaseRecord", "NULL_LEDGER"]
+__all__ = ["Ledger", "LedgerTape", "ParallelFrame", "PhaseRecord", "NULL_LEDGER"]
 
 
 @dataclass
@@ -250,3 +251,141 @@ class _NullLedger(Ledger):
 
 #: Shared sink for un-instrumented calls.  Never read its counters.
 NULL_LEDGER = _NullLedger()
+
+
+# tape opcodes
+_CHARGE, _PARALLEL, _BRANCH, _BATCH, _PHASE, _END = range(6)
+
+
+class LedgerTape(Ledger):
+    """A ledger that also records its calls, for replay into another.
+
+    Computations that run interleaved in Python but must reach a ledger
+    one after another — the 2-respecting searches of a lockstep group,
+    each in its own parallel branch — each charge a tape, and the tapes
+    are replayed in order.  The tape records every ``charge``,
+    ``parallel``/``branch``, ``batch`` and ``phase`` call with its
+    arguments; :meth:`replay` issues the same calls with the same
+    amounts in the same order on the target.  The target therefore runs
+    the float additions of direct execution, one for one, so work,
+    depth and phase records come out bit-identical (and a
+    :class:`~repro.pram.trace.TraceLedger` target records the same
+    series-parallel shape).  A tape also accumulates like a fresh
+    :class:`Ledger`, so code reading it sees its own totals.
+
+    The recording is compact — one opcode byte per call, amounts as
+    doubles (exact for every float and for integers below 2**53) — as a
+    search makes thousands of calls and a group's tapes are all alive
+    until the group ends.
+    """
+
+    __slots__ = ("_ops", "_amounts", "_names")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ops = bytearray()
+        self._amounts = array("d")
+        self._names: List[str] = []
+
+    def charge(self, work: float, depth: float = 1.0) -> None:  # noqa: D102
+        # Ledger.charge inlined: a tape takes every charge of a search
+        if work < 0 or depth < 0:
+            raise LedgerError("negative work/depth charge")
+        self.work += work
+        self._now += depth
+        self._ops.append(_CHARGE)
+        self._amounts.append(work)
+        self._amounts.append(depth)
+
+    @contextmanager
+    def parallel(self) -> Iterator["_TapeFrame"]:  # type: ignore[override]  # noqa: D102
+        self._ops.append(_PARALLEL)
+        try:
+            with super().parallel() as frame:
+                yield _TapeFrame(frame, self._ops)
+        finally:
+            self._ops.append(_END)
+
+    @contextmanager
+    def batch(self, depth: float) -> Iterator[None]:  # noqa: D102
+        self._ops.append(_BATCH)
+        self._amounts.append(depth)
+        try:
+            with super().batch(depth):
+                yield
+        finally:
+            self._ops.append(_END)
+
+    @contextmanager
+    def phase(self, name: str) -> Iterator[PhaseRecord]:  # noqa: D102
+        self._ops.append(_PHASE)
+        self._names.append(name)
+        try:
+            with super().phase(name) as rec:
+                yield rec
+        finally:
+            self._ops.append(_END)
+
+    def absorb_parallel(self, *others: "Ledger") -> None:  # noqa: D102
+        raise LedgerError("absorb_parallel is not recorded on a tape")
+
+    def reset(self) -> None:  # noqa: D102
+        super().reset()
+        self._ops.clear()
+        del self._amounts[:]
+        self._names.clear()
+
+    def replay(
+        self,
+        target: Ledger,
+        phase: Optional[Callable[[str], ContextManager]] = None,
+    ) -> None:
+        """Issue the recorded calls on ``target``, in order.
+
+        ``phase(name)`` opens each recorded phase (default
+        ``target.phase``); a caller may pass an opener that also does
+        more, e.g. :func:`repro.obs.phase` to open a tracer span.
+        """
+        opener = phase if phase is not None else target.phase
+        amounts = iter(self._amounts)
+        names = iter(self._names)
+        # entered context managers, each with what its __enter__ returned
+        stack: List[Tuple[ContextManager, object]] = []
+        for op in self._ops:
+            if op == _CHARGE:
+                target.charge(next(amounts), next(amounts))
+                continue
+            if op == _END:
+                cm, _ = stack.pop()
+                cm.__exit__(None, None, None)
+                continue
+            if op == _PARALLEL:
+                cm = target.parallel()
+            elif op == _BRANCH:
+                cm = stack[-1][1].branch()  # type: ignore[union-attr]
+            elif op == _BATCH:
+                cm = target.batch(next(amounts))
+            else:
+                cm = opener(next(names))
+            stack.append((cm, cm.__enter__()))
+        if stack:
+            raise LedgerError("replay of a tape with an unclosed region")
+
+
+class _TapeFrame:
+    """Wraps a ParallelFrame so branches are recorded on the tape."""
+
+    __slots__ = ("_frame", "_ops")
+
+    def __init__(self, frame: ParallelFrame, ops: bytearray) -> None:
+        self._frame = frame
+        self._ops = ops
+
+    @contextmanager
+    def branch(self) -> Iterator[None]:
+        self._ops.append(_BRANCH)
+        try:
+            with self._frame.branch():
+                yield
+        finally:
+            self._ops.append(_END)

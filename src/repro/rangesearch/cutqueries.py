@@ -25,7 +25,7 @@ structurally by the underlying range trees.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +34,58 @@ from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree
 
-__all__ = ["CutOracle", "NaiveCutOracle"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels -> rangesearch)
+    from repro.kernels.flat2d import FlatRangeTree2D
+
+__all__ = [
+    "CutOracle",
+    "OracleForest",
+    "NaiveCutOracle",
+    "oracle_points",
+    "stack_oracle_points",
+]
 
 _BatchResult = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def oracle_points(
+    graph: Graph, tree: RootedTree
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Lemma A.1 point set of (graph, tree): every edge (x, y, w) as
+    the two points (post(x), post(y)) and (post(y), post(x)), weight w.
+    The keys are postorder ranks, stored as int32 when they fit (the
+    range tree keeps one key copy per x-level)."""
+    post = tree.post
+    if tree.n < 2**31:
+        post = post.astype(np.int32)
+    px = post[graph.u]
+    py = post[graph.v]
+    return (
+        np.concatenate([px, py]),
+        np.concatenate([py, px]),
+        np.concatenate([graph.w, graph.w]),
+    )
+
+
+def stack_oracle_points(
+    graph: Graph, trees: Sequence[RootedTree], branching: int
+) -> "FlatRangeTree2D":
+    """One stacked range tree whose set i holds ``trees[i]``'s points.
+
+    Every tree of one graph has the same 2m points up to relabelling, so
+    the sets share one shape and the build sorts each x-level of all of
+    them at once.  Charges nothing: ``CutOracle(graph, trees[i], ...,
+    points=stack, index=i)`` charges set i's build on its own ledger.
+    """
+    from repro.kernels.flat2d import FlatRangeTree2D
+
+    sets = [oracle_points(graph, t) for t in trees]
+    return FlatRangeTree2D(
+        np.stack([xs for xs, _, _ in sets]),
+        np.stack([ys for _, ys, _ in sets]),
+        np.tile(sets[0][2], (len(sets), 1)),
+        branching=branching,
+    )
 
 
 class CutOracle:
@@ -52,6 +101,10 @@ class CutOracle:
     branching:
         Degree of the range trees (2 = the Lemma 4.9 general-graph
         structure; ``~n^eps`` = the Lemma 4.25 dense-graph structure).
+    points, index:
+        Query set ``index`` of a stack built by
+        :func:`stack_oracle_points` instead of building a one-set range
+        tree; the ledger is charged the same build either way.
     """
 
     def __init__(
@@ -60,22 +113,31 @@ class CutOracle:
         tree: RootedTree,
         branching: int = 2,
         ledger: Ledger = NULL_LEDGER,
+        *,
+        points: Optional["FlatRangeTree2D"] = None,
+        index: int = 0,
     ) -> None:
         if graph.n > tree.n:
             raise ValueError("tree must span at least the graph's vertices")
         self.graph = graph
         self.tree = tree
-        post = tree.post
-        px = post[graph.u]
-        py = post[graph.v]
-        xs = np.concatenate([px, py])
-        ys = np.concatenate([py, px])
-        ws = np.concatenate([graph.w, graph.w])
-        # Imported lazily — kernels.flat2d needs rangesearch.tree1d, so a
-        # module-level import would cycle through this package.
-        from repro.kernels.flat2d import FlatRangeTree2D
+        if points is None:
+            # Imported lazily — kernels.flat2d needs rangesearch.tree1d, so
+            # a module-level import would cycle through this package.
+            from repro.kernels.flat2d import FlatRangeTree2D
 
-        self.points = FlatRangeTree2D(xs, ys, ws, branching=branching, ledger=ledger)
+            xs, ys, ws = oracle_points(graph, tree)
+            points = FlatRangeTree2D(xs, ys, ws, branching=branching, ledger=ledger)
+        else:
+            # one set of a stack built by stack_oracle_points: charge what
+            # building this tree's set alone would have
+            if points.size != 2 * graph.m or points.branching != branching:
+                raise ValueError("stacked points do not match this graph/branching")
+            points.charge_build(ledger)
+        self.points = points
+        self.index = int(index)
+        self._post = tree.post
+        self._size = tree.size
         self._nb = tree.n
         self._cost_cache = np.full(tree.n, np.nan)
         # Lemma A.1 preprocessing beyond the 2-D build: postorder mapping
@@ -103,9 +165,9 @@ class CutOracle:
             return float(c)
         t = self.tree
         s, p = int(t.start(u)), int(t.post[u])
-        val = self.points.query(s, p, 0, s - 1, ledger=ledger) + self.points.query(
-            s, p, p + 1, self._nb - 1, ledger=ledger
-        )
+        val = self.points.query(
+            s, p, 0, s - 1, ledger=ledger, tree=self.index
+        ) + self.points.query(s, p, p + 1, self._nb - 1, ledger=ledger, tree=self.index)
         self._cost_cache[u] = val
         return float(val)
 
@@ -113,7 +175,12 @@ class CutOracle:
         """w(T_e, T_f) for vertex-disjoint subtrees T_u, T_v."""
         t = self.tree
         return self.points.query(
-            int(t.start(v)), int(t.post[v]), int(t.start(u)), int(t.post[u]), ledger=ledger
+            int(t.start(v)),
+            int(t.post[v]),
+            int(t.start(u)),
+            int(t.post[u]),
+            ledger=ledger,
+            tree=self.index,
         )
 
     def down_cost(self, u: int, v: int, ledger: Ledger = NULL_LEDGER) -> float:
@@ -125,7 +192,7 @@ class CutOracle:
         # canonical x-decomposition once for the pair (identical answers,
         # charges and stats to two query() calls — see query_pair_x)
         v1, v2 = self.points.query_pair_x(
-            su, pu, 0, sv - 1, pv + 1, self._nb - 1, ledger=ledger
+            su, pu, 0, sv - 1, pv + 1, self._nb - 1, ledger=ledger, tree=self.index
         )
         return v1 + v2
 
@@ -148,9 +215,16 @@ class CutOracle:
     # 2-respecting driver always prefills before its batched stages.
     # ------------------------------------------------------------------
     def _spans(self, us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        t = self.tree
-        p = t.post[us]
-        return p - (t.size[us] - 1), p
+        p = self._post[us]
+        return p - (self._size[us] - 1), p
+
+    def _last(self, us: np.ndarray) -> np.ndarray:
+        """Per row, the largest postorder rank of ``us[i]``'s tree."""
+        return np.full(us.shape[0], self._nb - 1, dtype=np.int64)
+
+    def _sets(self, us: np.ndarray) -> "int | np.ndarray":
+        """The point set (of :attr:`points`) that rows owned by ``us`` ask."""
+        return self.index
 
     def cost_many(self, us: np.ndarray) -> _BatchResult:
         """Batched :meth:`cost`.  Cache misses are deduplicated: each
@@ -168,9 +242,9 @@ class CutOracle:
             uniq, first, inv = np.unique(us[mi], return_index=True, return_inverse=True)
             s, p = self._spans(uniq)
             zero = np.zeros(uniq.shape[0], dtype=np.int64)
-            last = np.full(uniq.shape[0], self._nb - 1, dtype=np.int64)
-            v1, w1, d1 = self.points.query_many(s, p, zero, s - 1)
-            v2, w2, d2 = self.points.query_many(s, p, p + 1, last)
+            sets = self._sets(uniq)
+            v1, w1, d1 = self.points.query_many(s, p, zero, s - 1, sets)
+            v2, w2, d2 = self.points.query_many(s, p, p + 1, self._last(uniq), sets)
             v = v1 + v2
             self._cost_cache[uniq] = v
             vals[mi] = v[inv]
@@ -193,7 +267,7 @@ class CutOracle:
         vs = np.asarray(vs, dtype=np.int64)
         su, pu = self._spans(us)
         sv, pv = self._spans(vs)
-        return self.points.query_many(sv, pv, su, pu)
+        return self.points.query_many(sv, pv, su, pu, self._sets(us))
 
     def down_cost_many(self, us: np.ndarray, vs: np.ndarray) -> _BatchResult:
         """Batched :meth:`down_cost` (u a descendant of v)."""
@@ -219,14 +293,15 @@ class CutOracle:
         sb, pb = self._spans(b)
         k = di.shape[0]
         zero = np.zeros(k, dtype=np.int64)
-        last = np.full(k, self._nb - 1, dtype=np.int64)
+        ad = a[di]
         # down rows contribute their two complement rectangles, cross
         # rows the single (b-span x a-span) rectangle
         x1 = np.concatenate([sa[di], sa[di], sb[ci]])
         x2 = np.concatenate([pa[di], pa[di], pb[ci]])
         y1 = np.concatenate([zero, pb[di] + 1, sa[ci]])
-        y2 = np.concatenate([sb[di] - 1, last, pa[ci]])
-        v, w, d = self.points.query_many(x1, x2, y1, y2)
+        y2 = np.concatenate([sb[di] - 1, self._last(ad), pa[ci]])
+        sets = self._sets(np.concatenate([ad, ad, a[ci]]))
+        v, w, d = self.points.query_many(x1, x2, y1, y2, sets)
         vals[di] = v[:k] + v[k : 2 * k]
         works[di] = w[:k] + w[k : 2 * k]
         depths[di] = d[:k] + d[k : 2 * k]
@@ -237,10 +312,9 @@ class CutOracle:
 
     def _ancestor_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """is_ancestor(a[i], b[i]) elementwise."""
-        t = self.tree
-        pa = t.post[a]
-        pb = t.post[b]
-        return (pa - (t.size[a] - 1) <= pb) & (pb <= pa)
+        pa = self._post[a]
+        pb = self._post[b]
+        return (pa - (self._size[a] - 1) <= pb) & (pb <= pa)
 
     def cut_many(self, us: np.ndarray, vs: np.ndarray) -> _BatchResult:
         """Batched :meth:`cut` over pairs of tree edges."""
@@ -421,13 +495,57 @@ class CutOracle:
     @property
     def total_nodes_visited(self) -> int:
         """Structural work of all queries so far (experiment E5)."""
-        return self.points.total_nodes_visited
+        return self.points.tree_nodes_visited(self.index)
+
+    @property
+    def queries(self) -> int:
+        """Rectangle queries answered so far (first-level count)."""
+        return self.points.tree_stats[self.index].queries
 
     @property
     def query_depth(self) -> int:
         """Model depth of one cut query: the x-descent of the 2-D tree
         plus one (parallel) auxiliary 1-D query — O(log n) for b = 2."""
         return 2 * self.points._x_depth + 2
+
+
+class OracleForest(CutOracle):
+    """The oracles of one stack, viewed as one forest for batched
+    predicates.
+
+    Tree i's vertex v is forest vertex ``offsets[i] + v``; every batched
+    method of :class:`CutOracle` (``interested_many`` and the ``*_many``
+    helpers under it) then takes rows of all the trees at once and asks
+    each row's own set of the shared stack, in one ``query_many`` call.
+    A row's answer and charges are those of its tree's oracle, and each
+    tree's stats counters advance exactly as its own calls would.
+
+    The forest works on a copy of the trees' cost caches: like every
+    batched entry point it needs them prefilled for exact charges, and
+    a miss evaluated here does not reach the tree's own cache.  The
+    scalar methods are not available on a forest.
+    """
+
+    def __init__(self, oracles: Sequence[CutOracle]) -> None:  # noqa: D107
+        points = oracles[0].points
+        if any(o.points is not points for o in oracles):
+            raise ValueError("a forest needs oracles of one stack")
+        sizes = [o.tree.n for o in oracles]
+        self.oracles = list(oracles)
+        self.points = points
+        self.offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.offsets[1:])
+        self._post = np.concatenate([o.tree.post for o in oracles])
+        self._size = np.concatenate([o.tree.size for o in oracles])
+        self._cost_cache = np.concatenate([o._cost_cache for o in oracles])
+        self._vset = np.repeat([o.index for o in oracles], sizes)
+        self._vlast = np.repeat(np.asarray(sizes, dtype=np.int64) - 1, sizes)
+
+    def _last(self, us: np.ndarray) -> np.ndarray:
+        return self._vlast[us]
+
+    def _sets(self, us: np.ndarray) -> np.ndarray:
+        return self._vset[us]
 
 
 class NaiveCutOracle:

@@ -14,11 +14,19 @@ find the minimum-weight cut of G that cuts at most two edges of T:
 
 All stages charge the shared ledger; the oracle's structural visit
 counters land in ``CutResult.stats``.
+
+Theorem 4.2 runs the searches of all packed trees in parallel.  Given a
+``(k, n)`` stack of trees, this module runs k searches in lockstep: one
+stacked range tree holds the k oracles' point sets, the per-tree phases
+run tree by tree, and the interest-terminal search advances every
+tree's searches together, one fused oracle batch per round.  Each tree
+charges its own ledger exactly what a search of that tree alone charges.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, List, Literal, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from repro.graphs.graph import Graph
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.resilience.budget import checkpoint as _checkpoint
 from repro.primitives.euler import postorder
-from repro.rangesearch.cutqueries import CutOracle
+from repro.rangesearch.cutqueries import CutOracle, stack_oracle_points
 from repro.results import CutResult
 from repro.trees.binary import binarize_parent
 from repro.trees.centroid import centroid_decomposition
@@ -51,8 +59,8 @@ def two_respecting_min_cut(
     *,
     branching: int = 2,
     decomposition: Literal["heavy", "bough"] = "heavy",
-    ledger: Ledger = NULL_LEDGER,
-) -> CutResult:
+    ledger: Union[Ledger, Sequence[Ledger]] = NULL_LEDGER,
+) -> Union[CutResult, List[CutResult]]:
     """Minimum cut of ``graph`` 2-respecting the tree ``tree_parent``.
 
     Parameters
@@ -61,70 +69,144 @@ def two_respecting_min_cut(
         Weighted undirected graph (need not be connected beyond the
         tree's span, but the tree must span all its vertices).
     tree_parent:
-        Parent array of a spanning tree of ``graph`` (root = -1 entry).
+        Parent array of a spanning tree of ``graph`` (root = -1 entry),
+        or a ``(k, n)`` stack of k such arrays, searched in lockstep.
     branching:
         Range-tree degree; see Section 4.3 (``max(2, round(n**eps))``).
     decomposition:
         Path decomposition flavour; both satisfy Property 4.3.
+    ledger:
+        The ledger to charge; for a stack, a sequence of k ledgers, tree
+        i charging ``ledger[i]`` exactly what its search alone charges.
 
     Returns
     -------
     CutResult with the optimal value, side mask, witness tree edges, and
-    oracle statistics.
+    oracle statistics; for a stack, the list of the k trees' results.
     """
-    tree_parent = np.asarray(tree_parent, dtype=np.int64)
-    if tree_parent.shape[0] != graph.n:
+    parents = np.asarray(tree_parent, dtype=np.int64)
+    if parents.ndim == 1:
+        return _search_group(graph, parents[None, :], branching, decomposition, [ledger])[0]
+    ledgers = list(ledger)  # type: ignore[arg-type]
+    if len(ledgers) != parents.shape[0]:
+        raise GraphFormatError("a stack of trees needs one ledger per tree")
+    return _search_group(graph, parents, branching, decomposition, ledgers)
+
+
+@contextmanager
+def _group_phase(name: str, ledgers: Sequence[Ledger]) -> Iterator[None]:
+    """One phase of every tree of a group: a ledger phase on each tree's
+    ledger and one span (the group's wall time) on the ambient tracer."""
+    with ExitStack() as stack:
+        for led in ledgers:
+            stack.enter_context(led.phase(name))
+        with obs.current_tracer().span(name):
+            yield
+
+
+def _search_group(
+    graph: Graph,
+    parents: np.ndarray,
+    branching: int,
+    decomposition: str,
+    ledgers: List[Ledger],
+) -> List[CutResult]:
+    """The lockstep search of the trees ``parents[i]`` (row i charging
+    ``ledgers[i]``): per-tree phases tree by tree, one interest-terminal
+    search for the group."""
+    if parents.shape[1] != graph.n:
         raise GraphFormatError("tree must span the graph's vertex set")
     if graph.n < 2:
         raise GraphFormatError("need at least two vertices")
+    k = parents.shape[0]
 
-    _checkpoint("two_respecting.start")
-    with obs.phase("binarize+postorder", ledger):
-        bt = binarize_parent(tree_parent, ledger=ledger)
-        rt = postorder(bt.parent, ledger=ledger)
-    with obs.phase("oracle-build", ledger):
-        oracle = CutOracle(graph, rt, branching=branching, ledger=ledger)
-        oracle.prefill_costs(ledger=ledger)
+    rts = []
+    for tp, led in zip(parents, ledgers):
+        _checkpoint("two_respecting.start")
+        with obs.phase("binarize+postorder", led):
+            bt = binarize_parent(tp, ledger=led)
+            rts.append(postorder(bt.parent, ledger=led))
+    with _group_phase("oracle-build", ledgers):
+        # one stacked range tree for the group; each tree's oracle
+        # charges the build of its own set
+        stack = stack_oracle_points(graph, rts, branching)
+        oracles = []
+        for i, (rt, led) in enumerate(zip(rts, ledgers)):
+            oracle = CutOracle(
+                graph, rt, branching=branching, ledger=led, points=stack, index=i
+            )
+            oracle.prefill_costs(ledger=led)
+            oracles.append(oracle)
 
-    # --- 1-respecting cuts: every tree edge alone -------------------------
-    _checkpoint("two_respecting.one_respecting")
-    with obs.phase("one-respecting", ledger):
-        # the cache is prefilled, so a per-edge scan would charge one
-        # (1, 1) cache hit per branch and reduces to an argmin
-        # (np.argmin's first-minimum tie-break matches an ascending
-        # `val < best` scan).  One branch charging (#edges, 1) leaves the
-        # parallel frame in the identical state.
-        val, u = oracle.cost_argmin()
-        best: Tuple[float, int, int] = (val, u, u)
-        with ledger.parallel() as par:
-            with par.branch():
-                ledger.charge(work=float(rt.n - 1), depth=1.0)
+    bests: List[Tuple[float, int, int]] = []
+    decs = []
+    rootpaths_all = []
+    cds = []
+    dec_fn = heavy_path_decomposition if decomposition == "heavy" else bough_decomposition
+    for rt, oracle, led in zip(rts, oracles, ledgers):
+        # --- 1-respecting cuts: every tree edge alone ---------------------
+        _checkpoint("two_respecting.one_respecting")
+        with obs.phase("one-respecting", led):
+            # the cache is prefilled, so a per-edge scan would charge one
+            # (1, 1) cache hit per branch and reduces to an argmin
+            # (np.argmin's first-minimum tie-break matches an ascending
+            # `val < best` scan).  One branch charging (#edges, 1) leaves
+            # the parallel frame in the identical state.
+            val, u = oracle.cost_argmin()
+            best: Tuple[float, int, int] = (val, u, u)
+            with led.parallel() as par:
+                with par.branch():
+                    led.charge(work=float(rt.n - 1), depth=1.0)
 
-    # --- same-path pairs ---------------------------------------------------
-    _checkpoint("two_respecting.single_path")
-    with obs.phase("decompose", ledger):
-        dec_fn = heavy_path_decomposition if decomposition == "heavy" else bough_decomposition
-        dec = dec_fn(rt, ledger=ledger)
-        rootpaths = RootPaths.build(rt, dec, ledger=ledger)
-    with obs.phase("single-path", ledger):
-        val, a, b = single_path_minimum(oracle, dec, ledger=ledger)
+        # --- same-path pairs -------------------------------------------------
+        _checkpoint("two_respecting.single_path")
+        with obs.phase("decompose", led):
+            dec = dec_fn(rt, ledger=led)
+            rootpaths = RootPaths.build(rt, dec, ledger=led)
+        with obs.phase("single-path", led):
+            val, a, b = single_path_minimum(oracle, dec, ledger=led)
+            if val < best[0]:
+                best = (val, a, b)
+        # this tree's scalar queries pause until its path pairs: free its
+        # key mirrors, so the group holds at most one tree's at a time
+        stack.drop_scalar_mirrors()
+
+        # --- distinct-path pairs: centroids now, terminals for the group ---
+        _checkpoint("two_respecting.path_pairs")
+        with obs.phase("centroid", led):
+            cds.append(centroid_decomposition(rt, ledger=led))
+        bests.append(best)
+        decs.append(dec)
+        rootpaths_all.append(rootpaths)
+
+    with _group_phase("interest-terminals", ledgers):
+        terminals = find_interest_terminals(oracles, cds, ledgers)
+
+    results = []
+    for i in range(k):
+        oracle, dec, led = oracles[i], decs[i], ledgers[i]
+        c_e, d_e = terminals[i]
+        with obs.phase("interest-tuples", led):
+            tuples = collect_interest_tuples(rootpaths_all[i], c_e, d_e, ledger=led)
+            pairs = group_interested_pairs(tuples, ledger=led)
+        with obs.phase("path-pairs", led):
+            val, a, b = path_pair_minimum(oracle, dec, pairs, ledger=led)
+        stack.drop_scalar_mirrors()
+        best = bests[i]
         if val < best[0]:
             best = (val, a, b)
+        results.append(_tree_result(oracle, dec, best, len(tuples), len(pairs)))
+    return results
 
-    # --- distinct-path pairs -------------------------------------------------
-    _checkpoint("two_respecting.path_pairs")
-    with obs.phase("centroid", ledger):
-        cd = centroid_decomposition(rt, ledger=ledger)
-    with obs.phase("interest-terminals", ledger):
-        c_e, d_e = find_interest_terminals(oracle, cd, ledger=ledger)
-    with obs.phase("interest-tuples", ledger):
-        tuples = collect_interest_tuples(rootpaths, c_e, d_e, ledger=ledger)
-        pairs = group_interested_pairs(tuples, ledger=ledger)
-    with obs.phase("path-pairs", ledger):
-        val, a, b = path_pair_minimum(oracle, dec, pairs, ledger=ledger)
-        if val < best[0]:
-            best = (val, a, b)
 
+def _tree_result(
+    oracle: CutOracle,
+    dec,
+    best: Tuple[float, int, int],
+    num_tuples: int,
+    num_pairs: int,
+) -> CutResult:
+    """One tree's :class:`CutResult` (and its ``tworespect.*`` counters)."""
     value, eu, ev = best
     side = oracle.cut_side_mask(eu, ev)
     # normalise: a cut side must be a proper subset of the *real* vertices
@@ -134,19 +216,19 @@ def two_respecting_min_cut(
     if reg.enabled:
         reg.add("tworespect.trees")
         reg.add("oracle.nodes_visited", float(oracle.total_nodes_visited))
-        reg.add("oracle.queries", float(oracle.points.stats.queries))
-        reg.add("tworespect.interest_tuples", float(len(tuples)))
-        reg.add("tworespect.interested_pairs", float(len(pairs)))
+        reg.add("oracle.queries", float(oracle.queries))
+        reg.add("tworespect.interest_tuples", float(num_tuples))
+        reg.add("tworespect.interested_pairs", float(num_pairs))
     return CutResult(
         value=float(value),
         side=side,
         witness_edges=(int(eu), int(ev)),
         stats={
             "oracle_nodes_visited": float(oracle.total_nodes_visited),
-            "oracle_queries": float(oracle.points.stats.queries),
+            "oracle_queries": float(oracle.queries),
             "num_paths": float(dec.num_paths),
-            "num_interest_tuples": float(len(tuples)),
-            "num_interested_pairs": float(len(pairs)),
-            "tree_size_binarized": float(rt.n),
+            "num_interest_tuples": float(num_tuples),
+            "num_interested_pairs": float(num_pairs),
+            "tree_size_binarized": float(oracle.tree.n),
         },
     )

@@ -26,7 +26,7 @@ never correctness.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,15 +48,22 @@ __all__ = [
 
 
 def find_interest_terminals(
-    oracle: CutOracle,
-    cd: CentroidDecomposition,
-    ledger: Ledger = NULL_LEDGER,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per tree edge e (indexed by child endpoint), the nodes c_e and d_e
-    delimiting e's cross- and down-interest paths (Claim 4.13), found by
-    the batched centroid-guided search of :mod:`repro.kernels.terminals`.
-    Needs a prefilled cost cache for exact charges (``prefill_costs``)."""
-    return find_interest_terminals_batched(oracle, cd, ledger=ledger)
+    oracles: Sequence[CutOracle],
+    cds: Sequence[CentroidDecomposition],
+    ledgers: Sequence[Ledger],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per tree, per tree edge e (indexed by child endpoint), the nodes
+    c_e and d_e delimiting e's cross- and down-interest paths (Claim
+    4.13), found by the batched centroid-guided search of
+    :mod:`repro.kernels.terminals`.
+
+    Searches every tree of a lockstep group at once: ``oracles[i]``
+    (all over one stacked range tree, see
+    :func:`~repro.rangesearch.cutqueries.stack_oracle_points`) and
+    ``cds[i]`` describe tree i, whose charges go to ``ledgers[i]``; one
+    tree is a group of one.  Needs prefilled cost caches for exact
+    charges (``prefill_costs``)."""
+    return find_interest_terminals_batched(oracles, cds, ledgers)
 
 
 def collect_interest_tuples(

@@ -49,6 +49,19 @@ from repro.tworespect.path_pairs import collect_interest_tuples, group_intereste
 __all__ = ["ReferenceCutOracle", "reference_two_respecting_min_cut"]
 
 
+class _OneSetRangeTree2D(RangeTree2D):
+    """:class:`RangeTree2D` answering :class:`CutOracle`'s scalar calls,
+    which name their point set (always set 0 here)."""
+
+    def query(self, x1, x2, y1, y2, ledger: Ledger = NULL_LEDGER, tree: int = 0) -> float:
+        assert tree == 0
+        return super().query(x1, x2, y1, y2, ledger=ledger)
+
+    def tree_nodes_visited(self, tree: int) -> int:
+        assert tree == 0
+        return self.total_nodes_visited
+
+
 class ReferenceCutOracle(CutOracle):
     """:class:`CutOracle` over the per-entry :class:`RangeTree2D`.
 
@@ -68,13 +81,14 @@ class ReferenceCutOracle(CutOracle):
         self.tree = tree
         px = tree.post[graph.u]
         py = tree.post[graph.v]
-        self.points = RangeTree2D(
+        self.points = _OneSetRangeTree2D(
             np.concatenate([px, py]),
             np.concatenate([py, px]),
             np.concatenate([graph.w, graph.w]),
             branching=branching,
             ledger=ledger,
         )
+        self.index = 0
         self._nb = tree.n
         self._cost_cache = np.full(tree.n, np.nan)
         ledger.charge(work=float(2 * graph.m + tree.n), depth=float(log2ceil(max(tree.n, 2))))

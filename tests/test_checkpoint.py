@@ -257,7 +257,9 @@ class TestResumeReusesWork:
         base = Ledger()
         resilient_minimum_cut(g, seed=7, ledger=base)
         resumed = {}
-        for kill_at in (0, 1, 3, 7):
+        # the search saves its progress once per lockstep group: with 14
+        # trees, saves 4-7 follow groups 1-4
+        for kill_at in (0, 1, 3, 5, 7):
             ck = tmp_path / f"k{kill_at}.ckpt"
             with pytest.raises(SimulatedCrash):
                 with inject(_kill_plan(kill_at)):
@@ -268,10 +270,11 @@ class TestResumeReusesWork:
             resumed[kill_at] = led.work
             if kill_at >= 1:
                 assert reg.snapshot().get("checkpoint.stage_loads", 0) >= 1
-        works = [resumed[k] for k in (0, 1, 3, 7)]
+        works = [resumed[k] for k in (0, 1, 3, 5, 7)]
         assert max(works) <= base.work
         assert works == sorted(works, reverse=True)
-        assert resumed[7] < resumed[3]  # per-tree progress was reused
+        # each group's saved progress was reused
+        assert resumed[7] < resumed[5] < resumed[3]
 
 
 # ---------------------------------------------------------------------------

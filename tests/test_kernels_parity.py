@@ -38,7 +38,7 @@ from repro.pram import (
     prewarm_executor,
     shutdown_shared_pools,
 )
-from repro.primitives import all_subtree_costs, postorder
+from repro.primitives import all_subtree_costs, postorder, root_tree
 from repro.rangesearch import CutOracle, RangeTree2D
 from repro.resilience.budget import Budget, budget_scope
 from repro.resilience.faults import SITE_EXECUTOR_BRANCH, Fault, FaultPlan, inject
@@ -141,6 +141,192 @@ class TestEndToEndParity:
         with counting_scope(reg):
             _assert_parity(g, parent, 2, "heavy")
         assert reg.snapshot().get("kernels.smawk_prefetches", 0.0) > 0
+
+
+def _random_spanning_parent(rng, graph):
+    """A random spanning tree of the connected ``graph`` (Kruskal over a
+    random edge order), rooted at a random vertex."""
+    comp = list(range(graph.n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    ids = []
+    for e in rng.permutation(graph.m).tolist():
+        a, b = find(int(graph.u[e])), find(int(graph.v[e]))
+        if a != b:
+            comp[a] = b
+            ids.append(e)
+    ids = np.asarray(ids, dtype=np.int64)
+    return root_tree(graph.n, graph.u[ids], graph.v[ids], int(rng.integers(0, graph.n)))
+
+
+def _group_instance(rng, wfloat):
+    """A graph and 1-9 distinct-shaped spanning trees of it."""
+    n = int(rng.integers(4, 30))
+    g, parent = _random_instance(rng, n, int(rng.integers(n, 4 * n)), wfloat)
+    k = int(rng.integers(1, 10))
+    return g, [parent] + [_random_spanning_parent(rng, g) for _ in range(k - 1)]
+
+
+class TestLockstepGroups:
+    """A lockstep group (one stacked oracle, one terminal search) vs the
+    per-entry reference run tree by tree."""
+
+    @pytest.mark.parametrize(
+        "branching,decomposition,wfloat",
+        [(2, "heavy", False), (3, "bough", True), (5, "heavy", True), (2, "bough", True)],
+    )
+    def test_each_tree_matches_reference(self, branching, decomposition, wfloat):
+        rng = np.random.default_rng(branching * 31 + len(decomposition))
+        sizes = set()
+        for _ in range(3):
+            g, parents = _group_instance(rng, wfloat)
+            ledgers = [Ledger() for _ in parents]
+            results = two_respecting_min_cut(
+                g,
+                np.stack(parents),
+                branching=branching,
+                decomposition=decomposition,
+                ledger=ledgers,
+            )
+            assert len(results) == len(parents)
+            for parent, rf, lf in zip(parents, results, ledgers):
+                lr = Ledger()
+                rr = reference_two_respecting_min_cut(
+                    g, parent, branching=branching, decomposition=decomposition, ledger=lr
+                )
+                assert rf.value == rr.value
+                assert rf.witness_edges == rr.witness_edges
+                assert np.array_equal(rf.side, rr.side)
+                assert rf.stats == rr.stats
+                assert (lf.work, lf.depth) == (lr.work, lr.depth)
+                assert {k: (r.work, r.depth) for k, r in lf.phases.items()} == {
+                    k: (r.work, r.depth) for k, r in lr.phases.items()
+                }
+                sizes.add(rf.stats["tree_size_binarized"])
+        assert len(sizes) > 1  # the groups mixed binarized tree sizes
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_search_stage_matches_tree_by_tree_reference(self, seed):
+        """The whole stage — groups, tape replay, progress — against the
+        reference searched tree by tree in parallel branches, on a plain
+        and on a tracing ledger."""
+        from repro import obs
+        from repro.engine.stages import LOCKSTEP_GROUP, search_stage
+        from repro.pram import TraceLedger
+
+        rng = np.random.default_rng(40 + seed)
+        g, parents = _group_instance(rng, wfloat=bool(seed))
+        while len(parents) <= LOCKSTEP_GROUP:  # at least two groups
+            parents.append(_random_spanning_parent(rng, g))
+        branching = int(rng.choice([2, 3]))
+        decomposition = ["heavy", "bough"][seed]
+        for make in (Ledger, TraceLedger):
+            ref = make()
+            best = None
+            with obs.phase("two-respecting", ref):
+                with ref.parallel() as par:
+                    for parent in parents:
+                        with par.branch():
+                            res = reference_two_respecting_min_cut(
+                                g, parent, branching=branching,
+                                decomposition=decomposition, ledger=ref,
+                            )
+                        if best is None or res.value < best.value:
+                            best = res
+            led = make()
+            progress = []
+            got = search_stage(
+                g, parents, branching=branching, decomposition=decomposition,
+                ledger=led, on_tree=lambda done, so_far: progress.append(done),
+            )
+            assert got.value == best.value
+            assert got.witness_edges == best.witness_edges
+            assert np.array_equal(got.side, best.side)
+            assert got.stats == best.stats
+            assert (led.work, led.depth) == (ref.work, ref.depth)
+            assert {k: (r.work, r.depth) for k, r in led.phases.items()} == {
+                k: (r.work, r.depth) for k, r in ref.phases.items()
+            }
+            if make is TraceLedger:
+                for p in (1, 2, 8, 64):
+                    assert led.bounds(p) == ref.bounds(p)
+            assert progress == list(range(LOCKSTEP_GROUP, len(parents), LOCKSTEP_GROUP)) + [
+                len(parents)
+            ]
+        # resuming mid-group continues from any index, same answer
+        part = search_stage(
+            g, parents[:3], branching=branching, decomposition=decomposition,
+            ledger=Ledger(),
+        )
+        resumed = search_stage(
+            g, parents, branching=branching, decomposition=decomposition,
+            ledger=Ledger(), trees_done=3, best=part,
+        )
+        assert (resumed.value, resumed.witness_edges) == (best.value, best.witness_edges)
+
+
+class TestFlatStack:
+    """A stacked FlatRangeTree2D set answers as the set alone and as the
+    per-entry RangeTree2D: values, charges and per-set stats."""
+
+    @pytest.mark.parametrize("branching", [2, 3, 5])
+    def test_scalar_and_batched_queries(self, branching):
+        import pickle
+
+        rng = np.random.default_rng(branching)
+        k, size = 3, int(rng.integers(20, 90))
+        xs = rng.integers(0, 40, (k, size))
+        ys = rng.integers(0, 40, (k, size))
+        ws = rng.uniform(0.1, 5.0, (k, size))
+        led_stack, led_alone = Ledger(), Ledger()
+        stack = FlatRangeTree2D(xs, ys, ws, branching=branching, ledger=led_stack)
+        alone = [
+            FlatRangeTree2D(xs[i], ys[i], ws[i], branching=branching, ledger=led_alone)
+            for i in range(k)
+        ]
+        ref = [RangeTree2D(xs[i], ys[i], ws[i], branching=branching) for i in range(k)]
+        # the stack charges each set's build, in set order
+        assert (led_stack.work, led_stack.depth) == (led_alone.work, led_alone.depth)
+        rects = rng.integers(-2, 42, (200, 4))
+        trees = rng.integers(0, k, 200)
+        for (x1, x2, y1, y2), t in zip(rects.tolist(), trees.tolist()):
+            ls, la, lr = Ledger(), Ledger(), Ledger()
+            v = stack.query(x1, x2, y1, y2, ledger=ls, tree=t)
+            assert v == alone[t].query(x1, x2, y1, y2, ledger=la)
+            assert v == ref[t].query(x1, x2, y1, y2, ledger=lr)
+            assert (ls.work, ls.depth) == (la.work, la.depth) == (lr.work, lr.depth)
+            lp = Ledger()
+            pa, pb = stack.query_pair_x(x1, x2, y1, y2, y2, y1 + 30, ledger=lp, tree=t)
+            lq = Ledger()
+            assert (pa, pb) == (
+                alone[t].query(x1, x2, y1, y2, ledger=lq),
+                alone[t].query(x1, x2, y2, y1 + 30, ledger=lq),
+            )
+            assert (lp.work, lp.depth) == (lq.work, lq.depth)
+        # one mixed-set batch (vectorized) == per-row scalar answers
+        vals, works, depths = stack.query_many(*rects.T, trees)
+        for i, t in enumerate(trees.tolist()):
+            led = Ledger()
+            assert vals[i] == alone[t].query(*rects[i].tolist(), ledger=led)
+            assert (works[i], depths[i]) == (led.work, led.depth)
+        for i in range(k):
+            assert stack.tree_stats[i].queries == alone[i].stats.queries
+            assert stack.tree_nodes_visited(i) == alone[i].total_nodes_visited
+        # pickling drops the mirrors and per-set stats; answers survive
+        again = pickle.loads(pickle.dumps(stack))
+        assert again.k == k and again.tree_stats[0].queries == 0
+        for (x1, x2, y1, y2), t in zip(rects[:50].tolist(), trees[:50].tolist()):
+            l1, l2 = Ledger(), Ledger()
+            assert again.query(x1, x2, y1, y2, ledger=l1, tree=t) == stack.query(
+                x1, x2, y1, y2, ledger=l2, tree=t
+            )
+            assert (l1.work, l1.depth) == (l2.work, l2.depth)
+        assert np.array_equal(again.query_many(*rects.T, trees)[0], vals)
 
 
 class TestOracleParity:

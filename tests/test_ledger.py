@@ -216,3 +216,115 @@ class TestNullLedger:
         assert NULL_LEDGER.work == 0
         assert NULL_LEDGER.depth == 0
         assert "absorbed-phase" not in NULL_LEDGER.phases
+
+
+def _random_program(rng, depth=0):
+    """A random nested charge/parallel/branch/batch/phase program, as
+    data, with non-integer amounts so float summation order shows."""
+    ops = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(0, 4)) if depth < 4 else 0
+        if kind == 0:
+            ops.append(("charge", float(rng.uniform(0, 10)), float(rng.uniform(0, 3))))
+        elif kind == 1:
+            branches = [_random_program(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+            ops.append(("parallel", branches))
+        elif kind == 2:
+            ops.append(("batch", float(rng.uniform(0, 5)), _random_program(rng, depth + 1)))
+        else:
+            name = "abc"[int(rng.integers(0, 3))]
+            ops.append(("phase", name, _random_program(rng, depth + 1)))
+    return ops
+
+
+def _run(program, ledger):
+    for op in program:
+        if op[0] == "charge":
+            ledger.charge(work=op[1], depth=op[2])
+        elif op[0] == "parallel":
+            with ledger.parallel() as par:
+                for branch in op[1]:
+                    with par.branch():
+                        _run(branch, ledger)
+        elif op[0] == "batch":
+            with ledger.batch(op[1]):
+                _run(op[2], ledger)
+        else:
+            with ledger.phase(op[1]):
+                _run(op[2], ledger)
+
+
+def _state(ledger):
+    return (
+        ledger.work,
+        ledger.depth,
+        {k: (r.work, r.depth) for k, r in ledger.phases.items()},
+    )
+
+
+class TestLedgerTape:
+    """A tape replayed into a ledger leaves it exactly as running the
+    same calls on it directly would — float sums, phase records and a
+    TraceLedger's series-parallel shape included."""
+
+    def test_replay_equals_direct_execution(self):
+        import numpy as np
+
+        from repro.pram import LedgerTape, TraceLedger
+
+        rng = np.random.default_rng(0)
+        for _ in range(120):
+            programs = [_random_program(rng) for _ in range(int(rng.integers(1, 4)))]
+            lead = float(rng.uniform(0, 7))
+            for make in (Ledger, TraceLedger):
+                direct, replayed = make(), make()
+                tapes = []
+                for program in programs:
+                    tape = LedgerTape()
+                    _run(program, tape)
+                    tapes.append(tape)
+                for led in (direct, replayed):
+                    led.charge(work=lead, depth=lead)  # a nonzero start
+                with direct.parallel() as par:
+                    for program in programs:
+                        with par.branch():
+                            _run(program, direct)
+                with replayed.parallel() as par:
+                    for tape in tapes:
+                        with par.branch():
+                            tape.replay(replayed)
+                assert _state(replayed) == _state(direct)
+                if make is TraceLedger:
+                    for p in (1, 3, 16):
+                        assert replayed.bounds(p) == direct.bounds(p)
+            # the tape itself accumulates like a fresh ledger
+            fresh = Ledger()
+            _run(programs[0], fresh)
+            assert _state(tapes[0]) == _state(fresh)
+
+    def test_replay_opens_phases_through_the_opener(self):
+        from contextlib import contextmanager
+
+        from repro.pram import LedgerTape
+
+        tape = LedgerTape()
+        with tape.phase("x"):
+            tape.charge(work=2.5, depth=1)
+        seen = []
+        target = Ledger()
+
+        @contextmanager
+        def opener(name):
+            seen.append(name)
+            with target.phase(name):
+                yield
+
+        tape.replay(target, phase=opener)
+        assert seen == ["x"]
+        assert target.phases["x"].work == 2.5
+
+    def test_absorb_parallel_is_refused(self):
+        from repro.pram import LedgerTape
+
+        with pytest.raises(LedgerError):
+            LedgerTape().absorb_parallel(Ledger())

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graphs import Graph, cycle_graph, random_connected_graph
-from repro.pram import Ledger
+from repro.pram import NULL_LEDGER, Ledger
 from repro.primitives import postorder, root_tree, spanning_forest_graph
 from repro.trees import binarize_parent
 from repro.tworespect import (
@@ -137,7 +137,7 @@ class TestInterestPipeline:
         rt = binarized(tree_of(g))
         oracle = CutOracle(g, rt)
         cd = centroid_decomposition(rt)
-        c_e, d_e = find_interest_terminals(oracle, cd)
+        [(c_e, d_e)] = find_interest_terminals([oracle], [cd], [NULL_LEDGER])
         for u in range(rt.n):
             if rt.parent[u] < 0:
                 assert c_e[u] == -1 and d_e[u] == -1
@@ -159,7 +159,7 @@ class TestInterestPipeline:
             rt = binarized(tree_of(g))
             oracle = CutOracle(g, rt)
             cd = centroid_decomposition(rt)
-            c_e, d_e = find_interest_terminals(oracle, cd)
+            [(c_e, d_e)] = find_interest_terminals([oracle], [cd], [NULL_LEDGER])
             for u in range(rt.n):
                 if rt.parent[u] < 0:
                     continue
