@@ -19,8 +19,12 @@ reference driver in ``tests/reference_tworespect.py``.  The kernels win
 wall-clock by replacing per-entry Python callbacks with flattened
 CSR-style array traversals (:mod:`repro.kernels.flat2d`), batched
 oracle evaluation (the ``*_many`` methods of
-:class:`repro.rangesearch.cutqueries.CutOracle`), batched SMAWK drivers
+:class:`repro.rangesearch.cutqueries.CutOracle`), a resumable SMAWK
+whose instances — every SMAWK call of every tree of a lockstep group —
+advance together, one oracle round at a time
 (:mod:`repro.kernels.monge`), a level-synchronous interest-terminal
 search (:mod:`repro.kernels.terminals`) and shared per-tree structures
-(:mod:`repro.kernels.treecache`).
+(:mod:`repro.kernels.treecache`).  The centroid decompositions the
+terminal search walks are built level-synchronously too, for a whole
+group at once (:func:`repro.trees.centroid.centroid_decomposition`).
 """

@@ -1,111 +1,144 @@
-"""Batched SMAWK drivers over the cut oracle.
+"""Resumable SMAWK over the cut oracle, scheduled across a lockstep group.
 
 The reference SMAWK (:mod:`repro.monge.smawk`) evaluates Monge entries
 one ``lookup(i, j)`` call at a time; with cut-oracle entries each call
-is a fresh 2-D range query.  The drivers here keep the *identical*
+is a fresh 2-D range query.  :func:`_smawk_steps` keeps the *identical*
 algorithm — same reduce-phase comparisons, same recursion, same
-per-call entry cache semantics — but evaluate each recursion level's
-whole interpolate-phase column windows in one :meth:`CutOracle.cut_many`
-batch (the windows are fully known once the odd-row recursion returns).
-The reduce phase is inherently sequential (a stack whose comparisons
-depend on previous answers) and keeps scalar evaluation through the
-shared per-call cache.
+per-call entry cache — as a generator: it yields the uncached entries it
+needs next and reads their values from its cache when resumed.  A
+reduce-phase comparison needs its two entries; a recursion level's
+interpolate phase needs every entry of its column windows at once (the
+windows are fully known once the odd-row recursion returns).
 
-Parity: entries are evaluated exactly once per distinct (row, col) per
-top-level call, exactly as the reference's ``_CountingLookup``; the
-batched evaluations charge the sum of the per-entry (work, depth) the
-scalar calls would charge — sequential scalar charges and one summed
-charge are indistinguishable to the :class:`Ledger` — and the oracle's
-stats counters advance identically.
+:func:`run_smawk_group` advances many such instances together — every
+SMAWK call of every tree of a lockstep group (the single-path triangle
+blocks and ``ell == 2`` direct pairs, or the path-pair blocks).  Each
+*round* collects the pending entries of every live instance and answers
+them at once: through one :meth:`OracleForest.cut_many` batch when the
+round holds more than :data:`_SCALAR_ROUND_CUTOFF` entries, else entry
+by entry through the scalar :meth:`CutOracle.cut`.  Most rounds are
+small (a reduce comparison asks two entries), so the scalar path stays.
+
+Parity: every instance evaluates exactly the entries its reference call
+evaluates — once per distinct (row, col), as the reference's
+``_CountingLookup`` — so values, and the oracle's stats counters, come
+out identical.  An instance sums its entries' ledger work (integers, as
+every oracle charge is) plus the reference call's fixed SMAWK charges in
+:attr:`SmawkInstance.work`; the callers charge that sum inside the
+reference's ``batch`` region, where the depth of the individual charges
+is overwritten anyway.  Integer-valued float sums are exact in any
+grouping, so the ledger ends in the identical state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.counters import counters
-from repro.pram.combinators import log2ceil
-from repro.pram.ledger import Ledger, NULL_LEDGER
-from repro.rangesearch.cutqueries import CutOracle
+from repro.rangesearch.cutqueries import CutOracle, OracleForest
 
-__all__ = ["matrix_minimum_batched", "triangle_minimum_batched"]
+__all__ = ["SmawkInstance", "run_smawk_group", "triangle_instances"]
 
-#: Below this many uncached entries a prefetch evaluates scalar cut
-#: calls (the reference path) instead of one cut_many batch (each pair
-#: is two rectangles; the batched tree path needs ~200 rectangles to
-#: amortize its fixed mask cost).  Wall-clock tuning only — values,
-#: charges and stats are identical either way.
-_SCALAR_PREFETCH_CUTOFF = 96
+#: A round with at most this many pending entries evaluates them with
+#: scalar cut calls (~12.5 us each) instead of one mixed-tree cut_many
+#: batch (~0.5 ms of fixed cost even at 4 rows).  On a cut-sparse grid
+#: the single-path phase took 274-282 / 260-280 / 289-307 ms at cutoffs
+#: 24 / 48 / 72, against ~400 ms with every round vectorized
+#: (docs/performance.md).  Wall-clock only — values, charges and stats
+#: are identical either way.
+_SCALAR_ROUND_CUTOFF = 48
 
-
-class _BatchedCutLookup:
-    """Per-call entry cache (the reference's ``_CountingLookup``
-    semantics) with a batched prefetch path."""
-
-    __slots__ = ("oracle", "ledger", "cache")
-
-    def __init__(self, oracle: CutOracle, ledger: Ledger) -> None:
-        self.oracle = oracle
-        self.ledger = ledger
-        self.cache: Dict[Tuple[int, int], float] = {}
-
-    def __call__(self, a: int, b: int) -> float:
-        key = (a, b)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        val = self.oracle.cut(a, b, ledger=self.ledger)
-        self.cache[key] = val
-        return val
-
-    def prefetch(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Evaluate (and cache) every uncached pair in one batch."""
-        todo = [k for k in dict.fromkeys(pairs) if k not in self.cache]
-        if not todo:
-            return
-        if len(todo) <= _SCALAR_PREFETCH_CUTOFF:
-            # small windows: the batched masks cost more than they save;
-            # fall through to the reference's scalar evaluation order
-            for a, b in todo:
-                self.cache[(a, b)] = self.oracle.cut(a, b, ledger=self.ledger)
-            return
-        us = np.fromiter((a for a, _ in todo), dtype=np.int64, count=len(todo))
-        vs = np.fromiter((b for _, b in todo), dtype=np.int64, count=len(todo))
-        vals, works, depths = self.oracle.cut_many(us, vs)
-        self.ledger.charge(work=float(works.sum()), depth=float(depths.sum()))
-        reg = counters()
-        if reg.enabled:
-            reg.add("kernels.smawk_prefetches")
-            reg.add("kernels.smawk_prefetched_entries", float(len(todo)))
-        for key, val in zip(todo, vals.tolist()):
-            self.cache[key] = val
+_Key = Tuple[int, int]
 
 
-def _smawk_batched(
+class SmawkInstance:
+    """One reference SMAWK call of tree ``tree``: the minimum of the
+    totally monotone matrix ``rows x cols`` (``matrix_minimum``; both
+    nonempty), or with ``direct`` the single uncached entry
+    ``(rows[0], cols[0])`` (the ``ell == 2`` segment of a triangle).
+
+    After :func:`run_smawk_group`, :attr:`best` is the call's
+    ``(value, row, col)`` and :attr:`work` the ledger work the reference
+    call charges.  Scalar cut calls charge the instance directly (it
+    has the ledger's ``charge`` signature)."""
+
+    __slots__ = ("tree", "work", "best", "need", "cache", "_steps")
+
+    def __init__(
+        self, tree: int, rows: List[int], cols: List[int], direct: bool = False
+    ) -> None:
+        self.tree = tree
+        self.cache: Dict[_Key, float] = {}
+        self.best: Tuple[float, int, int] = (float("inf"), -1, -1)
+        self.need: List[_Key] = []
+        if direct:
+            self.work = 0.0
+            self._steps: Optional[Iterator[List[_Key]]] = self._direct(rows[0], cols[0])
+        else:
+            # matrix_minimum's fixed charges: SMAWK bookkeeping, row fold
+            self.work = float(len(rows) + len(cols)) + float(len(rows))
+            self._steps = self._matrix(list(rows), list(cols))
+
+    def charge(self, work: float, depth: float = 1.0) -> None:
+        self.work += work
+
+    def advance(self) -> bool:
+        """Run to the next request (in :attr:`need`); False when done."""
+        if self._steps is None:
+            return False
+        try:
+            self.need = next(self._steps)
+        except StopIteration:
+            self._steps = None
+            return False
+        return True
+
+    def _direct(self, a: int, b: int) -> Iterator[List[_Key]]:
+        yield [(a, b)]
+        self.best = (self.cache[(a, b)], a, b)
+
+    def _matrix(self, rows: List[int], cols: List[int]) -> Iterator[List[_Key]]:
+        result: Dict[int, Tuple[float, int]] = {}
+        yield from _smawk_steps(rows, cols, self.cache, result)
+        best_val, best_r, best_c = float("inf"), -1, -1
+        for r, (val, c) in result.items():
+            if val < best_val:
+                best_val, best_r, best_c = val, r, c
+        self.best = (best_val, best_r, best_c)
+
+
+def _smawk_steps(
     rows: List[int],
     cols: List[int],
-    lookup: _BatchedCutLookup,
+    cache: Dict[_Key, float],
     result: Dict[int, Tuple[float, int]],
-) -> None:
+) -> Iterator[List[_Key]]:
+    """The reference ``_smawk`` recursion, yielding each batch of
+    uncached entries it is about to read."""
     if not rows:
         return
-    # REDUCE: identical to the reference — sequential, demand-driven
+    # REDUCE: sequential, demand-driven — one comparison per request
     stack: List[int] = []
     for c in cols:
         while stack:
             r = rows[len(stack) - 1]
-            if lookup(r, stack[-1]) <= lookup(r, c):
+            ka = (r, stack[-1])
+            kb = (r, c)
+            need = [k for k in (ka, kb) if k not in cache]
+            if need:
+                yield need
+            if cache[ka] <= cache[kb]:
                 break
             stack.pop()
         if len(stack) < len(rows):
             stack.append(c)
     cols2 = stack
-    _smawk_batched(rows[1::2], cols2, lookup, result)
+    yield from _smawk_steps(rows[1::2], cols2, cache, result)
     # INTERPOLATE: the scan windows are fixed once the odd rows are
-    # solved — prefetch every uncached entry of this level in one batch,
-    # then replay the reference's min-scans on cached values
+    # solved — request every uncached entry of this level at once, then
+    # replay the reference's min-scans on cached values
     col_pos = {c: k for k, c in enumerate(cols2)}
     windows: List[Tuple[int, int, int]] = []
     start = 0
@@ -114,56 +147,31 @@ def _smawk_batched(
         stop = col_pos[result[rows[i + 1]][1]] if i + 1 < len(rows) else len(cols2) - 1
         windows.append((r, start, stop))
         start = stop
-    lookup.prefetch(
-        [(r, c) for r, s0, s1 in windows for c in cols2[s0 : s1 + 1]]
-    )
+    # one row per window, so the keys are distinct
+    need = [
+        (r, c) for r, s0, s1 in windows for c in cols2[s0 : s1 + 1] if (r, c) not in cache
+    ]
+    if need:
+        yield need
     for r, s0, s1 in windows:
         best_val = None
         best_col = None
         for c in cols2[s0 : s1 + 1]:
-            val = lookup(r, c)
+            val = cache[(r, c)]
             if best_val is None or val < best_val:
                 best_val, best_col = val, c
         assert best_col is not None
         result[r] = (best_val, best_col)
 
 
-def matrix_minimum_batched(
-    oracle: CutOracle,
-    rows: Sequence[int],
-    cols: Sequence[int],
-    ledger: Ledger = NULL_LEDGER,
-) -> Tuple[float, int, int]:
-    """Drop-in for ``matrix_minimum(rows, cols, oracle.cut, ledger)``
-    with batched interpolate-phase evaluation."""
-    if not rows or not cols:
-        return float("inf"), -1, -1
-    lookup = _BatchedCutLookup(oracle, ledger)
-    result: Dict[int, Tuple[float, int]] = {}
-    _smawk_batched(list(rows), list(cols), lookup, result)
-    n = len(rows) + len(cols)
-    ledger.charge(work=float(max(n, 1)), depth=float(log2ceil(max(n, 2)) + 1))
-    best_val, best_r, best_c = float("inf"), -1, -1
-    for r, (val, c) in result.items():
-        if val < best_val:
-            best_val, best_r, best_c = val, r, c
-    ledger.charge(work=float(len(rows)), depth=float(log2ceil(max(len(rows), 2))))
-    return best_val, best_r, best_c
-
-
-def triangle_minimum_batched(
-    oracle: CutOracle,
-    labels: Sequence[int],
-    ledger: Ledger = NULL_LEDGER,
-    *,
-    inverse: bool = True,
-) -> Tuple[float, int, int]:
-    """Drop-in for ``triangle_minimum(labels, oracle.cut, ...)`` using
-    the batched SMAWK driver per block (same blocks, same charges)."""
-    labels = list(labels)
-    best: Tuple[float, int, int] = (float("inf"), -1, -1)
-    if len(labels) < 2:
-        return best
+def triangle_instances(tree: int, labels: List[int]) -> List[SmawkInstance]:
+    """The SMAWK calls of the reference ``triangle_minimum(labels, ...,
+    inverse=True)`` in its stack-pop order: one block per segment of
+    length >= 3 (columns reversed: the nested single-path blocks are
+    inverse-Monge), one direct entry per segment of length 2.  Folding
+    their :attr:`best` in this order with a strict ``<`` gives the
+    triangle's minimum."""
+    out: List[SmawkInstance] = []
     stack = [labels]
     while stack:
         seg = stack.pop()
@@ -171,20 +179,63 @@ def triangle_minimum_batched(
         if ell < 2:
             continue
         if ell == 2:
-            # direct (uncached) lookup, exactly like the reference
-            val = oracle.cut(seg[0], seg[1], ledger=ledger)
-            if val < best[0]:
-                best = (val, seg[0], seg[1])
+            out.append(SmawkInstance(tree, [seg[0]], [seg[1]], direct=True))
             continue
         mid = ell // 2
-        rows = seg[:mid]
-        cols = seg[mid:]
-        if inverse:
-            cols = cols[::-1]
-        val, r, c = matrix_minimum_batched(oracle, rows, cols, ledger=ledger)
-        if val < best[0]:
-            best = (val, r, c)
+        out.append(SmawkInstance(tree, seg[:mid], seg[mid:][::-1]))
         stack.append(seg[:mid])
         stack.append(seg[mid:])
-    ledger.charge(work=0.0, depth=float(log2ceil(max(len(labels), 2))))
-    return best
+    return out
+
+
+def run_smawk_group(
+    oracles: Sequence[CutOracle], instances: Sequence[SmawkInstance]
+) -> None:
+    """Run every instance to completion; ``instances[j].tree`` indexes
+    ``oracles`` (all over one stacked range tree, as a lockstep group's
+    are, with prefilled cost caches).  Charges no ledger."""
+    live = [inst for inst in instances if inst.advance()]
+    forest: Optional[OracleForest] = None
+    rounds = vector_rounds = entries = 0
+    while live:
+        total = 0
+        for inst in live:
+            total += len(inst.need)
+        rounds += 1
+        entries += total
+        if total <= _SCALAR_ROUND_CUTOFF:
+            for inst in live:
+                cut = oracles[inst.tree].cut
+                cache = inst.cache
+                for key in inst.need:
+                    cache[key] = cut(key[0], key[1], ledger=inst)
+        else:
+            vector_rounds += 1
+            if forest is None:
+                forest = OracleForest(oracles)
+            offsets = forest.offsets.tolist()
+            us: List[int] = []
+            vs: List[int] = []
+            for inst in live:
+                off = offsets[inst.tree]
+                for a, b in inst.need:
+                    us.append(a + off)
+                    vs.append(b + off)
+            vals, works, _ = forest.cut_many(np.array(us), np.array(vs))
+            vl = vals.tolist()
+            wl = works.tolist()
+            i = 0
+            for inst in live:
+                cache = inst.cache
+                for key in inst.need:
+                    cache[key] = vl[i]
+                    inst.work += wl[i]
+                    i += 1
+        live = [inst for inst in live if inst.advance()]
+    reg = counters()
+    if reg.enabled and rounds:
+        # observability only — never part of the parity contract
+        reg.add("kernels.smawk_rounds", float(rounds))
+        reg.add("kernels.smawk_vector_rounds", float(vector_rounds))
+        reg.add("kernels.smawk_entries", float(entries))
+

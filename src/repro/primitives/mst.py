@@ -7,10 +7,11 @@ substitute, Section 4.2).  See DESIGN.md's substitution table for the
 cost-model discussion.
 
 The algorithm is the classic parallel Borůvka: every component picks its
-minimum-key incident cross edge; the picked edges are merged (the PRAM
-algorithm hooks + pointer-jumps, we merge through a DSU and charge the
-same per-round cost); components at least halve per round, so there are
-at most ``ceil(log2 n)`` rounds.
+minimum-key incident cross edge; the picked edges are merged by
+min-label hooking and pointer jumping over the component labels
+(:func:`repro.graphs.graph.component_labels`), as in the PRAM
+algorithm; components at least halve per round, so there are at most
+``ceil(log2 n)`` rounds.
 
 Keys are *ranks* (int64 obtained by pre-sorting the true keys) so that
 ``np.minimum.at`` resolves weight ties by edge index deterministically.
@@ -22,9 +23,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.graphs.graph import component_labels
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
-from repro.primitives.dsu import DisjointSets
 from repro.primitives.sort import parallel_sort_ranks
 
 __all__ = ["minimum_spanning_forest", "boruvka_forest_from_ranks"]
@@ -49,7 +50,8 @@ def boruvka_forest_from_ranks(
     -------
     (forest_edge_ids, component_labels):
         indices into the edge arrays forming a minimum spanning forest,
-        and the component label of every vertex.
+        and the component label of every vertex (equal labels mean one
+        component; the values themselves carry no meaning).
 
     Work/depth charged per round: O(live_edges + n) work, O(log n) depth
     (min-reduction plus pointer jumping), for at most ceil(log2 n) rounds
@@ -59,11 +61,10 @@ def boruvka_forest_from_ranks(
     labels = np.arange(n, dtype=np.int64)
     if m == 0 or n == 0:
         return np.empty(0, np.int64), labels
-    dsu = DisjointSets(n)
     by_rank = np.empty(m, dtype=np.int64)
     by_rank[rank] = np.arange(m)
     live = np.arange(m)
-    chosen: list[int] = []
+    chosen = [np.empty(0, np.int64)]
     sentinel = np.iinfo(np.int64).max
     rounds = 0
     while live.size:
@@ -80,21 +81,21 @@ def boruvka_forest_from_ranks(
         np.minimum.at(best, lu, r)
         np.minimum.at(best, lv, r)
         winners = np.unique(best[best != sentinel])
-        # merge the winning edges; mutual picks of the same edge dedupe
-        # via np.unique, genuine cycles are impossible because every
-        # selected edge is the minimum of at least one of its endpoints'
-        # components (cycle => some edge is the max on the cycle and the
-        # min of neither side, with distinct ranks).
-        for rk in winners:
-            e = int(by_rank[rk])
-            if dsu.union(int(u[e]), int(v[e])):
-                chosen.append(e)
-        labels = dsu.labels()
+        # mutual picks of the same edge dedupe via np.unique, and genuine
+        # cycles are impossible because every selected edge is the
+        # minimum of at least one of its endpoints' components (cycle =>
+        # some edge is the max on the cycle and the min of neither side,
+        # with distinct ranks) — so every winner joins the forest, and
+        # the components merge along the winners by min-label hooking
+        ids = by_rank[winners]
+        chosen.append(ids)
+        _, merged = component_labels(n, labels[u[ids]], labels[v[ids]])
+        labels = merged[labels]
         ledger.charge(
             work=float(live.size + n + winners.size),
             depth=float(log2ceil(max(n, 2)) + 1),
         )
-    return np.asarray(sorted(chosen), dtype=np.int64), labels
+    return np.sort(np.concatenate(chosen)), labels
 
 
 def minimum_spanning_forest(

@@ -17,10 +17,13 @@ counters land in ``CutResult.stats``.
 
 Theorem 4.2 runs the searches of all packed trees in parallel.  Given a
 ``(k, n)`` stack of trees, this module runs k searches in lockstep: one
-stacked range tree holds the k oracles' point sets, the per-tree phases
-run tree by tree, and the interest-terminal search advances every
-tree's searches together, one fused oracle batch per round.  Each tree
-charges its own ledger exactly what a search of that tree alone charges.
+stacked range tree holds the k oracles' point sets; the single-path and
+path-pair SMAWK calls of all k trees each run as one round-by-round
+schedule (:mod:`repro.kernels.monge`); one level-synchronous pass builds
+the k centroid decompositions; and the interest-terminal search
+advances every tree's searches together, one fused oracle batch per
+round.  Each tree charges its own ledger exactly what a search of that
+tree alone charges.
 """
 
 from __future__ import annotations
@@ -112,13 +115,15 @@ def _search_group(
     ledgers: List[Ledger],
 ) -> List[CutResult]:
     """The lockstep search of the trees ``parents[i]`` (row i charging
-    ``ledgers[i]``): per-tree phases tree by tree, one interest-terminal
-    search for the group."""
+    ``ledgers[i]``): the cheap per-tree phases tree by tree, then every
+    search phase once for the whole group — one SMAWK schedule for the
+    single-path and one for the path-pair case, one level-synchronous
+    centroid decomposition and one interest-terminal search.  Each
+    tree's ledger still sees its phases in the single-tree order."""
     if parents.shape[1] != graph.n:
         raise GraphFormatError("tree must span the graph's vertex set")
     if graph.n < 2:
         raise GraphFormatError("need at least two vertices")
-    k = parents.shape[0]
 
     rts = []
     for tp, led in zip(parents, ledgers):
@@ -141,7 +146,6 @@ def _search_group(
     bests: List[Tuple[float, int, int]] = []
     decs = []
     rootpaths_all = []
-    cds = []
     dec_fn = heavy_path_decomposition if decomposition == "heavy" else bough_decomposition
     for rt, oracle, led in zip(rts, oracles, ledgers):
         # --- 1-respecting cuts: every tree edge alone ---------------------
@@ -153,50 +157,50 @@ def _search_group(
             # `val < best` scan).  One branch charging (#edges, 1) leaves
             # the parallel frame in the identical state.
             val, u = oracle.cost_argmin()
-            best: Tuple[float, int, int] = (val, u, u)
+            bests.append((val, u, u))
             with led.parallel() as par:
                 with par.branch():
                     led.charge(work=float(rt.n - 1), depth=1.0)
-
-        # --- same-path pairs -------------------------------------------------
-        _checkpoint("two_respecting.single_path")
         with obs.phase("decompose", led):
             dec = dec_fn(rt, ledger=led)
-            rootpaths = RootPaths.build(rt, dec, ledger=led)
-        with obs.phase("single-path", led):
-            val, a, b = single_path_minimum(oracle, dec, ledger=led)
-            if val < best[0]:
-                best = (val, a, b)
-        # this tree's scalar queries pause until its path pairs: free its
-        # key mirrors, so the group holds at most one tree's at a time
-        stack.drop_scalar_mirrors()
+            decs.append(dec)
+            rootpaths_all.append(RootPaths.build(rt, dec, ledger=led))
 
-        # --- distinct-path pairs: centroids now, terminals for the group ---
-        _checkpoint("two_respecting.path_pairs")
-        with obs.phase("centroid", led):
-            cds.append(centroid_decomposition(rt, ledger=led))
-        bests.append(best)
-        decs.append(dec)
-        rootpaths_all.append(rootpaths)
+    # --- same-path pairs: every tree's SMAWK calls in one schedule -------
+    _checkpoint("two_respecting.single_path")
+    with _group_phase("single-path", ledgers):
+        found = single_path_minimum(oracles, decs, ledgers)
+    bests = [_better(best, f) for best, f in zip(bests, found)]
 
+    # --- distinct-path pairs: centroids and terminals for the group ------
+    _checkpoint("two_respecting.path_pairs")
+    with _group_phase("centroid", ledgers):
+        cds = centroid_decomposition(rts, ledgers)
     with _group_phase("interest-terminals", ledgers):
         terminals = find_interest_terminals(oracles, cds, ledgers)
-
-    results = []
-    for i in range(k):
-        oracle, dec, led = oracles[i], decs[i], ledgers[i]
-        c_e, d_e = terminals[i]
+    num_tuples = []
+    pairs_all = []
+    for rootpaths, (c_e, d_e), led in zip(rootpaths_all, terminals, ledgers):
         with obs.phase("interest-tuples", led):
-            tuples = collect_interest_tuples(rootpaths_all[i], c_e, d_e, ledger=led)
-            pairs = group_interested_pairs(tuples, ledger=led)
-        with obs.phase("path-pairs", led):
-            val, a, b = path_pair_minimum(oracle, dec, pairs, ledger=led)
-        stack.drop_scalar_mirrors()
-        best = bests[i]
-        if val < best[0]:
-            best = (val, a, b)
-        results.append(_tree_result(oracle, dec, best, len(tuples), len(pairs)))
-    return results
+            tuples = collect_interest_tuples(rootpaths, c_e, d_e, ledger=led)
+            pairs_all.append(group_interested_pairs(tuples, ledger=led))
+        num_tuples.append(len(tuples))
+    with _group_phase("path-pairs", ledgers):
+        found = path_pair_minimum(oracles, decs, pairs_all, ledgers)
+    bests = [_better(best, f) for best, f in zip(bests, found)]
+    return [
+        _tree_result(oracle, dec, best, t, len(pairs))
+        for oracle, dec, best, t, pairs in zip(oracles, decs, bests, num_tuples, pairs_all)
+    ]
+
+
+_Best = Tuple[float, int, int]
+
+
+def _better(best: _Best, other: _Best) -> _Best:
+    """``other`` if it is strictly smaller, else ``best`` (the one-tree
+    search's ``val < best`` fold)."""
+    return other if other[0] < best[0] else best
 
 
 def _tree_result(

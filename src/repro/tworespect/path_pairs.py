@@ -17,6 +17,11 @@ Pipeline (Claims 4.13, 4.15, Lemmas 4.16, 4.17):
 4. For each pair, split the edge lists by their relation to the other
    path's head into nested and cross blocks — each block is
    (inverse-)Monge — and take each block's SMAWK minimum (Lemma 4.17).
+   For a lockstep group, the blocks of every tree run as resumable SMAWK
+   instances of one :func:`repro.kernels.monge.run_smawk_group` call,
+   one oracle round at a time; each tree then charges its own ledger
+   the reference structure (one branch per pair, one ``batch`` per
+   block holding the block's summed work).
 
 Every inspected entry is a genuine cut of G, so overapproximating the
 interest lists (which steps 1-2 deliberately do) affects only work,
@@ -26,14 +31,15 @@ never correctness.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.kernels.monge import matrix_minimum_batched
+from repro.kernels.monge import SmawkInstance, run_smawk_group
 from repro.kernels.terminals import find_interest_terminals_batched
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
+from repro.primitives.euler import RootedTree
 from repro.rangesearch.cutqueries import CutOracle
 from repro.trees.centroid import CentroidDecomposition
 from repro.trees.paths import PathDecomposition
@@ -45,6 +51,9 @@ __all__ = [
     "group_interested_pairs",
     "path_pair_minimum",
 ]
+
+_Pairs = Dict[Tuple[int, int], Tuple[List[int], List[int]]]
+_Best = Tuple[float, int, int]
 
 
 def find_interest_terminals(
@@ -122,48 +131,80 @@ def group_interested_pairs(
 
 
 def path_pair_minimum(
-    oracle: CutOracle,
-    decomposition: PathDecomposition,
-    pairs: Dict[Tuple[int, int], Tuple[List[int], List[int]]],
-    ledger: Ledger = NULL_LEDGER,
-) -> Tuple[float, int, int]:
+    oracle: Union[CutOracle, Sequence[CutOracle]],
+    decomposition: Union[PathDecomposition, Sequence[PathDecomposition]],
+    pairs: Union[_Pairs, Sequence[_Pairs]],
+    ledger: Union[Ledger, Sequence[Ledger]] = NULL_LEDGER,
+) -> Union[_Best, List[_Best]]:
     """Lemma 4.17: minimum cut(e, f) over all mutual path pairs.
 
     Each pair's (r, s) lists are ordered shallow -> deep and split into
-    nested / cross blocks; SMAWK runs per block.
+    nested / cross blocks; SMAWK runs per block.  Given sequences (tree
+    i of a lockstep group is ``oracle[i]``, ``decomposition[i]`` and
+    ``pairs[i]``, charging ``ledger[i]``), every block of every tree is
+    one instance of one :func:`~repro.kernels.monge.run_smawk_group`
+    run, and the list of the trees' minima is returned.
     """
-    tree = oracle.tree
-    dec = decomposition
-    best: Tuple[float, int, int] = (float("inf"), -1, -1)
+    if isinstance(oracle, CutOracle):
+        return path_pair_minimum(  # type: ignore[return-value]
+            [oracle], [decomposition], [pairs], [ledger]  # type: ignore[list-item]
+        )[0]
+    oracles = list(oracle)
+    plans: List[List[List[Tuple[int, SmawkInstance]]]] = []
+    instances: List[SmawkInstance] = []
+    for t, (o, dec, prs) in enumerate(zip(oracles, decomposition, pairs)):  # type: ignore[arg-type]
+        plan = []
+        for (p, q), (r, s) in prs.items():
+            blocks = []
+            for rows, cols in _pair_blocks(o.tree, dec, p, q, r, s):
+                inst = SmawkInstance(t, rows, cols)
+                blocks.append((len(rows) + len(cols), inst))
+                instances.append(inst)
+            plan.append(blocks)
+        plans.append(plan)
+    run_smawk_group(oracles, instances)
+    bests: List[_Best] = []
+    for o, led, plan in zip(oracles, ledger, plans):  # type: ignore[arg-type]
+        best: _Best = (float("inf"), -1, -1)
+        with led.parallel() as par:
+            for blocks in plan:
+                with par.branch():
+                    for length, inst in blocks:
+                        # one SMAWK call: O(log ell) parallel rounds of cut
+                        # queries (RV94 model depth; see DESIGN.md)
+                        ell_log = log2ceil(length) + 1
+                        with led.batch(depth=ell_log * o.query_depth):
+                            led.charge(work=inst.work, depth=0.0)
+                        if inst.best[0] < best[0]:
+                            best = inst.best
+        bests.append(best)
+    return bests
 
-    with ledger.parallel() as par:
-        for (p, q), (r, s) in pairs.items():
-            with par.branch():
-                r_sorted = sorted(set(r), key=lambda e: dec.index_in_path[e])
-                s_sorted = sorted(set(s), key=lambda e: dec.index_in_path[e])
-                hp = dec.head(p)
-                hq = dec.head(q)
-                r_anc = [e for e in r_sorted if tree.is_ancestor(e, hq) and e != hq]
-                r_non = [e for e in r_sorted if not (tree.is_ancestor(e, hq) and e != hq)]
-                s_anc = [f for f in s_sorted if tree.is_ancestor(f, hp) and f != hp]
-                s_non = [f for f in s_sorted if not (tree.is_ancestor(f, hp) and f != hp)]
-                blocks = []
-                if r_anc and s_sorted:
-                    # rows above, cols nested below: inverse-Monge
-                    blocks.append((r_anc, s_sorted[::-1]))
-                if s_anc and r_non:
-                    blocks.append((r_non, s_anc[::-1]))
-                if r_non and s_non:
-                    # disjoint subtrees: Monge as-is
-                    blocks.append((r_non, s_non))
-                for rows, cols in blocks:
-                    # one SMAWK call: O(log ell) parallel rounds of cut
-                    # queries (RV94 model depth; see DESIGN.md)
-                    ell_log = log2ceil(len(rows) + len(cols)) + 1
-                    with ledger.batch(depth=ell_log * oracle.query_depth):
-                        val, a, b = matrix_minimum_batched(
-                            oracle, rows, cols, ledger=ledger
-                        )
-                    if val < best[0]:
-                        best = (val, a, b)
-    return best
+
+def _pair_blocks(
+    tree: RootedTree,
+    dec: PathDecomposition,
+    p: int,
+    q: int,
+    r: List[int],
+    s: List[int],
+) -> List[Tuple[List[int], List[int]]]:
+    """The (rows, cols) SMAWK blocks of the mutual pair (p, q)."""
+    r_sorted = sorted(set(r), key=lambda e: dec.index_in_path[e])
+    s_sorted = sorted(set(s), key=lambda e: dec.index_in_path[e])
+    hp = dec.head(p)
+    hq = dec.head(q)
+    r_anc = [e for e in r_sorted if tree.is_ancestor(e, hq) and e != hq]
+    r_non = [e for e in r_sorted if not (tree.is_ancestor(e, hq) and e != hq)]
+    s_anc = [f for f in s_sorted if tree.is_ancestor(f, hp) and f != hp]
+    s_non = [f for f in s_sorted if not (tree.is_ancestor(f, hp) and f != hp)]
+    blocks = []
+    if r_anc and s_sorted:
+        # rows above, cols nested below: inverse-Monge
+        blocks.append((r_anc, s_sorted[::-1]))
+    if s_anc and r_non:
+        blocks.append((r_non, s_anc[::-1]))
+    if r_non and s_non:
+        # disjoint subtrees: Monge as-is
+        blocks.append((r_non, s_non))
+    return blocks

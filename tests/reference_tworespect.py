@@ -7,11 +7,13 @@ answers, stats counters and every ledger charge:
 * :class:`ReferenceCutOracle` — :class:`CutOracle` over the per-entry
   :class:`RangeTree2D` (Python node objects, one scalar query per
   rectangle);
+* :func:`reference_centroid_decomposition` — the sequential
+  component-walk centroid decomposition;
 * :func:`reference_two_respecting_min_cut` — the driver with scalar
   loops: a per-edge one-respecting scan, entry-at-a-time SMAWK
-  (:func:`triangle_minimum` / :func:`matrix_minimum`) over ``oracle.cut``
-  and one :func:`deepest_on_interest_path` search per edge and
-  predicate.
+  (:func:`triangle_minimum` / :func:`matrix_minimum`) over ``oracle.cut``,
+  the sequential centroid decomposition and one
+  :func:`deepest_on_interest_path` search per edge and predicate.
 
 ``tests/test_kernels_parity.py`` compares the library against it.
 """
@@ -33,11 +35,7 @@ from repro.rangesearch.cutqueries import CutOracle
 from repro.rangesearch.tree2d import RangeTree2D
 from repro.results import CutResult
 from repro.trees.binary import binarize_parent
-from repro.trees.centroid import (
-    CentroidDecomposition,
-    centroid_decomposition,
-    deepest_on_interest_path,
-)
+from repro.trees.centroid import CentroidDecomposition, deepest_on_interest_path
 from repro.trees.paths import (
     PathDecomposition,
     bough_decomposition,
@@ -46,7 +44,11 @@ from repro.trees.paths import (
 from repro.trees.rootpaths import RootPaths
 from repro.tworespect.path_pairs import collect_interest_tuples, group_interested_pairs
 
-__all__ = ["ReferenceCutOracle", "reference_two_respecting_min_cut"]
+__all__ = [
+    "ReferenceCutOracle",
+    "reference_centroid_decomposition",
+    "reference_two_respecting_min_cut",
+]
 
 
 class _OneSetRangeTree2D(RangeTree2D):
@@ -100,6 +102,136 @@ class ReferenceCutOracle(CutOracle):
         return self.points.query(su, pu, 0, sv - 1, ledger=ledger) + self.points.query(
             su, pu, pv + 1, self._nb - 1, ledger=ledger
         )
+
+
+def reference_centroid_decomposition(
+    tree: RootedTree, ledger: Ledger = NULL_LEDGER
+) -> CentroidDecomposition:
+    """The sequential centroid decomposition the library's
+    level-synchronous :func:`centroid_decomposition` must match: per
+    component, compute sizes by a local traversal, walk from the seed
+    toward the heavy side to the centroid, split, recurse (iteratively,
+    via an explicit stack).  Charged at Lemma 4.12's cost: the summed
+    component sizes as work, O(log n) depth."""
+    n = tree.n
+    cent_parent = np.full(n, -1, dtype=np.int64)
+    cent_depth = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return CentroidDecomposition(cent_parent, cent_depth, -1)
+    # undirected adjacency from the parent array
+    offsets, nbrs = _undirected_adjacency(tree.parent)
+    removed = np.zeros(n, dtype=bool)
+    size = np.zeros(n, dtype=np.int64)
+    cent_root = -1
+    stack: List[Tuple[int, int, int]] = [(tree.root, -1, 0)]  # (seed, cparent, cdepth)
+    total_work = 0
+    while stack:
+        seed, cpar, cdep = stack.pop()
+        comp = _collect_component(seed, offsets, nbrs, removed)
+        _component_sizes(comp, offsets, nbrs, removed, size)
+        c = _find_centroid(comp[0], len(comp), offsets, nbrs, removed, size)
+        total_work += len(comp)
+        cent_parent[c] = cpar
+        cent_depth[c] = cdep
+        if cpar < 0:
+            cent_root = c
+        removed[c] = True
+        for j in range(offsets[c], offsets[c + 1]):
+            y = int(nbrs[j])
+            if not removed[y]:
+                stack.append((y, c, cdep + 1))
+    ledger.charge(work=float(total_work), depth=float(log2ceil(max(n, 2))))
+    return CentroidDecomposition(cent_parent, cent_depth, cent_root)
+
+
+def _undirected_adjacency(parent: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    n = parent.shape[0]
+    child = np.flatnonzero(parent >= 0)
+    ends = np.concatenate([child, parent[child]])
+    other = np.concatenate([parent[child], child])
+    order = np.argsort(ends, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(offsets, ends[order] + 1, 1)
+    np.cumsum(offsets, out=offsets)
+    return offsets, other[order]
+
+
+def _collect_component(
+    seed: int, offsets: np.ndarray, nbrs: np.ndarray, removed: np.ndarray
+) -> List[int]:
+    comp = [int(seed)]
+    seen = {int(seed)}
+    i = 0
+    while i < len(comp):
+        x = comp[i]
+        i += 1
+        for j in range(offsets[x], offsets[x + 1]):
+            y = int(nbrs[j])
+            if not removed[y] and y not in seen:
+                seen.add(y)
+                comp.append(y)
+    return comp
+
+
+def _component_sizes(
+    comp: List[int],
+    offsets: np.ndarray,
+    nbrs: np.ndarray,
+    removed: np.ndarray,
+    size: np.ndarray,
+) -> None:
+    """Subtree sizes of the component rooted at comp[0] (DFS order trick:
+    comp is BFS order from the seed, so reversed iteration accumulates)."""
+    # rebuild as DFS from seed with explicit parent-in-component
+    seed = comp[0]
+    parent_in = {seed: -1}
+    order: List[int] = [seed]
+    i = 0
+    while i < len(order):
+        x = order[i]
+        i += 1
+        for j in range(offsets[x], offsets[x + 1]):
+            y = int(nbrs[j])
+            if not removed[y] and y not in parent_in:
+                parent_in[y] = x
+                order.append(y)
+    for x in order:
+        size[x] = 1
+    for x in reversed(order):
+        p = parent_in[x]
+        if p >= 0:
+            size[p] += size[x]
+
+
+def _find_centroid(
+    seed: int,
+    comp_size: int,
+    offsets: np.ndarray,
+    nbrs: np.ndarray,
+    removed: np.ndarray,
+    size: np.ndarray,
+) -> int:
+    """Walk from the seed toward the heavy side until balanced.
+
+    ``size`` holds seed-rooted subtree sizes, under which a neighbor y is
+    a child of x iff ``size[y] < size[x]`` (strict in a tree); the parent
+    side then weighs ``comp_size - size[x]``.
+    """
+    x = int(seed)
+    while True:
+        heavy = -1
+        heavy_size = 0
+        for j in range(offsets[x], offsets[x + 1]):
+            y = int(nbrs[j])
+            if removed[y]:
+                continue
+            s = int(size[y]) if size[y] < size[x] else comp_size - int(size[x])
+            if s > heavy_size:
+                heavy_size = s
+                heavy = y
+        if heavy_size * 2 <= comp_size:
+            return x
+        x = heavy
 
 
 def _single_path_minimum(
@@ -236,7 +368,7 @@ def reference_two_respecting_min_cut(
             best = (val, a, b)
 
     with obs.phase("centroid", ledger):
-        cd = centroid_decomposition(rt, ledger=ledger)
+        cd = reference_centroid_decomposition(rt, ledger=ledger)
     with obs.phase("interest-terminals", ledger):
         c_e, d_e = _find_interest_terminals(oracle, cd, ledger)
     with obs.phase("interest-tuples", ledger):

@@ -123,9 +123,10 @@ class TestEndToEndParity:
             _assert_parity(g, parent, b, dec)
 
     def test_long_path_batched_prefetch(self):
-        """A 300-edge tree path gives SMAWK windows larger than the
-        scalar cutoff, so entries are prefetched through cut_many —
-        a path the small instances above never reach."""
+        """A 300-edge tree path gives SMAWK rounds larger than the
+        scalar round cutoff, so entries are evaluated through one
+        cut_many batch per round — a path the small instances above
+        never reach."""
         rng = np.random.default_rng(5)
         n = 300
         parent = np.arange(-1, n - 1, dtype=np.int64)
@@ -140,7 +141,7 @@ class TestEndToEndParity:
         reg = CounterRegistry()
         with counting_scope(reg):
             _assert_parity(g, parent, 2, "heavy")
-        assert reg.snapshot().get("kernels.smawk_prefetches", 0.0) > 0
+        assert reg.snapshot().get("kernels.smawk_vector_rounds", 0.0) > 0
 
 
 def _random_spanning_parent(rng, graph):
@@ -268,6 +269,123 @@ class TestLockstepGroups:
             ledger=Ledger(), trees_done=3, best=part,
         )
         assert (resumed.value, resumed.witness_edges) == (best.value, best.witness_edges)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_long_path_group_matches_reference(self, trace):
+        from repro.pram import TraceLedger
+
+        make = TraceLedger if trace else Ledger
+        g, parents = _long_path_group(np.random.default_rng(7))
+        reg = CounterRegistry()
+        with counting_scope(reg):
+            got = _group_run(g, parents, make)
+        assert reg.snapshot().get("kernels.smawk_vector_rounds", 0.0) > 0
+        refs = []
+        for parent in parents:
+            led = make()
+            refs.append((reference_two_respecting_min_cut(g, parent, ledger=led), led))
+        _assert_same_run(got, tuple(zip(*refs)), trace)
+
+    def test_phase_minima_keep_the_reference_fold_order(self):
+        """On unit weights (ties everywhere), the group's single-path and
+        path-pair minima name the reference's witness, tree by tree, for
+        any pair lists: both run SMAWK on the same entries, so parity
+        does not need the blocks to be Monge."""
+        from repro.rangesearch.cutqueries import stack_oracle_points
+        from repro.trees import heavy_path_decomposition
+        from repro.tworespect.path_pairs import path_pair_minimum
+        from repro.tworespect.single_path import single_path_minimum
+        from tests.reference_tworespect import _path_pair_minimum, _single_path_minimum
+
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            g, parents = _group_instance(rng, wfloat=False)
+            g = Graph(g.n, g.u, g.v, np.ones(g.m))
+            rts = [postorder(binarize_parent(p).parent) for p in parents]
+            stack = stack_oracle_points(g, rts, 2)
+            oracles = [CutOracle(g, rt, points=stack, index=i) for i, rt in enumerate(rts)]
+            refs = [ReferenceCutOracle(g, rt) for rt in rts]
+            for o in oracles + refs:
+                o.prefill_costs()
+            decs = [heavy_path_decomposition(rt) for rt in rts]
+            pairs = []
+            for dec in decs:
+                paths = [arr.tolist() for arr in dec.paths]
+                chosen = {}
+                for _ in range(8 if len(paths) > 1 else 0):
+                    p, q = sorted(rng.choice(len(paths), 2, replace=False).tolist())
+                    chosen[(p, q)] = tuple(
+                        [e for e in paths[x] if rng.random() < 0.7] or paths[x][:1]
+                        for x in (p, q)
+                    )
+                pairs.append(chosen)
+            for run, ref_run, args in (
+                (single_path_minimum, _single_path_minimum, [decs]),
+                (path_pair_minimum, _path_pair_minimum, [decs, pairs]),
+            ):
+                ledgers = [Ledger() for _ in rts]
+                got = run(oracles, *args, ledgers)
+                for i, ref in enumerate(refs):
+                    led = Ledger()
+                    want = ref_run(ref, *(a[i] for a in args), led)
+                    assert got[i] == want
+                    assert (ledgers[i].work, ledgers[i].depth) == (led.work, led.depth)
+
+    def test_round_cutoff_is_wall_clock_only(self, monkeypatch):
+        """All-scalar and all-vectorized rounds give bit-identical runs."""
+        import repro.kernels.monge as monge
+        from repro.pram import TraceLedger
+
+        g, parents = _long_path_group(np.random.default_rng(8), n=120)
+        runs = []
+        for cutoff in (0, 10**9):
+            monkeypatch.setattr(monge, "_SCALAR_ROUND_CUTOFF", cutoff)
+            reg = CounterRegistry()
+            with counting_scope(reg):
+                runs.append(_group_run(g, parents, TraceLedger))
+            snap = reg.snapshot()
+            vector = snap.get("kernels.smawk_vector_rounds", 0.0)
+            assert vector == (snap["kernels.smawk_rounds"] if cutoff == 0 else 0.0)
+        _assert_same_run(runs[0], runs[1], trace=True)
+
+
+def _long_path_group(rng, n=300):
+    """A graph on n vertices whose first tree is the path 0-1-...-(n-1),
+    plus two random spanning trees of it: the path's SMAWK rounds exceed
+    the scalar round cutoff."""
+    parent = np.arange(-1, n - 1, dtype=np.int64)
+    extra = rng.integers(0, n, size=(2 * n, 2))
+    extra = extra[extra[:, 0] != extra[:, 1]]
+    g = Graph(
+        n,
+        np.concatenate([np.arange(1, n), extra[:, 0]]),
+        np.concatenate([np.arange(n - 1), extra[:, 1]]),
+        rng.uniform(0.5, 4, n - 1 + extra.shape[0]),
+    )
+    return g, [parent, _random_spanning_parent(rng, g), _random_spanning_parent(rng, g)]
+
+
+def _group_run(g, parents, make):
+    """One lockstep search of ``parents``: results and per-tree ledgers."""
+    ledgers = [make() for _ in parents]
+    results = two_respecting_min_cut(g, np.stack(parents), ledger=ledgers)
+    return results, ledgers
+
+
+def _assert_same_run(a, b, trace):
+    """Two searches' results and ledgers are bit-identical, tree by tree."""
+    for (ra, la), (rb, lb) in zip(zip(*a), zip(*b)):
+        assert ra.value == rb.value
+        assert ra.witness_edges == rb.witness_edges
+        assert np.array_equal(ra.side, rb.side)
+        assert ra.stats == rb.stats
+        assert (la.work, la.depth) == (lb.work, lb.depth)
+        assert {k: (r.work, r.depth) for k, r in la.phases.items()} == {
+            k: (r.work, r.depth) for k, r in lb.phases.items()
+        }
+        if trace:
+            for p in (1, 2, 8, 64):
+                assert la.bounds(p) == lb.bounds(p)
 
 
 class TestFlatStack:

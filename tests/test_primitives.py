@@ -120,6 +120,61 @@ class TestMST:
         ids, _ = minimum_spanning_forest(g.n, g.u, g.v, keys)
         assert sorted(ids.tolist()) == [1, 2]
 
+    def test_hooking_matches_dsu_merges(self):
+        """Borůvka's merge by min-label hooking chooses the forest the
+        per-winner DisjointSets merge chose, with the same label classes
+        and the same charges."""
+        from repro.pram.combinators import log2ceil
+        from repro.primitives import boruvka_forest_from_ranks
+
+        def dsu_boruvka(n, u, v, rank, ledger):
+            labels = np.arange(n, dtype=np.int64)
+            if u.shape[0] == 0 or n == 0:
+                return np.empty(0, np.int64), labels
+            dsu = DisjointSets(n)
+            by_rank = np.empty(u.shape[0], dtype=np.int64)
+            by_rank[rank] = np.arange(u.shape[0])
+            live = np.arange(u.shape[0])
+            chosen = []
+            top = np.iinfo(np.int64).max
+            while live.size:
+                lu, lv = labels[u[live]], labels[v[live]]
+                cross = lu != lv
+                live = live[cross]
+                if live.size == 0:
+                    break
+                best = np.full(n, top, dtype=np.int64)
+                np.minimum.at(best, lu[cross], rank[live])
+                np.minimum.at(best, lv[cross], rank[live])
+                winners = np.unique(best[best != top])
+                for rk in winners:
+                    e = int(by_rank[rk])
+                    if dsu.union(int(u[e]), int(v[e])):
+                        chosen.append(e)
+                labels = dsu.labels()
+                ledger.charge(
+                    work=float(live.size + n + winners.size),
+                    depth=float(log2ceil(max(n, 2)) + 1),
+                )
+            return np.asarray(sorted(chosen), dtype=np.int64), labels
+
+        rng = np.random.default_rng(21)
+        for _ in range(120):
+            n = int(rng.integers(1, 150))
+            m = int(rng.integers(0, 4 * n + 1))
+            u = rng.integers(0, n, m)
+            v = rng.integers(0, n, m)  # self-loops and parallel edges too
+            rank = rng.permutation(m).astype(np.int64)
+            got_led, want_led = Ledger(), Ledger()
+            ids, labels = boruvka_forest_from_ranks(n, u, v, rank, ledger=got_led)
+            want_ids, want_labels = dsu_boruvka(n, u, v, rank, want_led)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(
+                labels[:, None] == labels[None, :],
+                want_labels[:, None] == want_labels[None, :],
+            )
+            assert (got_led.work, got_led.depth) == (want_led.work, want_led.depth)
+
 
 class TestEuler:
     def test_root_tree_orients_away_from_root(self):

@@ -189,6 +189,70 @@ class TestCentroid:
             assert cd.cent_parent[child] == c
 
 
+def _shaped_parent(rng, kind, n):
+    """A parent array of the given shape on n vertices, relabelled at
+    random (so the root and the postorder ranks are arbitrary)."""
+    parent = np.full(n, -1, dtype=np.int64)
+    for v in range(1, n):
+        if kind == "path":
+            parent[v] = v - 1
+        elif kind == "star":
+            parent[v] = 0
+        elif kind == "caterpillar":  # a spine with one leg per spine vertex
+            parent[v] = v - 1 if v % 2 else max(v - 3, 0)
+        elif kind == "heap":
+            parent[v] = (v - 1) // 2
+        else:  # random recursive tree
+            parent[v] = rng.integers(0, v)
+    perm = rng.permutation(n)
+    out = np.full(n, -1, dtype=np.int64)
+    has = parent >= 0
+    out[perm[has]] = perm[parent[has]]
+    return out
+
+
+class TestGroupCentroid:
+    """The level-synchronous decomposition of a forest vs the sequential
+    component walk of ``tests/reference_tworespect.py``, tree by tree."""
+
+    def test_forests_match_sequential_walk(self):
+        from tests.reference_tworespect import reference_centroid_decomposition
+
+        rng = np.random.default_rng(11)
+        kinds = ["path", "star", "caterpillar", "heap", "random"]
+        seen = set()
+        for it in range(60):
+            k = int(rng.integers(1, 10))
+            hi = 400 if it % 6 == 0 else 60
+            trees = []
+            for _ in range(k):
+                kind = kinds[int(rng.integers(0, len(kinds)))]
+                n = int(rng.integers(1, hi + 1))
+                seen.add(kind)
+                trees.append(postorder(_shaped_parent(rng, kind, n)))
+            ledgers = [Ledger() for _ in trees]
+            got = centroid_decomposition(trees, ledgers)
+            assert len(got) == k
+            for rt, cd, led in zip(trees, got, ledgers):
+                ref_led = Ledger()
+                ref = reference_centroid_decomposition(rt, ledger=ref_led)
+                assert np.array_equal(cd.cent_parent, ref.cent_parent)
+                assert np.array_equal(cd.cent_depth, ref.cent_depth)
+                assert cd.cent_root == ref.cent_root
+                assert (led.work, led.depth) == (ref_led.work, ref_led.depth)
+        assert seen == set(kinds)
+
+    def test_one_tree_is_a_group_of_one(self):
+        rt = postorder(binarize_parent(random_parent(50, 4)).parent)
+        l1, l2 = Ledger(), Ledger()
+        one = centroid_decomposition(rt, ledger=l1)
+        (grp,) = centroid_decomposition([rt], [l2])
+        assert isinstance(one, CentroidDecomposition)
+        assert np.array_equal(one.cent_parent, grp.cent_parent)
+        assert one.cent_root == grp.cent_root
+        assert (l1.work, l1.depth) == (l2.work, l2.depth)
+
+
 class TestInterestPathSearch:
     """deepest_on_interest_path with synthetic membership oracles."""
 
