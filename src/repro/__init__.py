@@ -50,8 +50,6 @@ __all__ = [
     "CutResult",
     "ApproxResult",
     "VerificationReport",
-    "DegradationEvent",
-    "Supervisor",
     "RunReport",
     "CutPipelineParams",
     "SkeletonParams",
@@ -75,8 +73,6 @@ _LAZY = {
     "CutResult": ("repro.results", "CutResult"),
     "ApproxResult": ("repro.results", "ApproxResult"),
     "VerificationReport": ("repro.results", "VerificationReport"),
-    "DegradationEvent": ("repro.results", "DegradationEvent"),
-    "Supervisor": ("repro.resilience.supervisor", "Supervisor"),
     "RunReport": ("repro.obs.report", "RunReport"),
     "CutPipelineParams": ("repro.params", "CutPipelineParams"),
     "SkeletonParams": ("repro.sparsify.skeleton", "SkeletonParams"),

@@ -285,7 +285,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         default_budget_class=args.budget_class,
         allow_shutdown=not args.no_shutdown_op,
-        seed=args.seed,
         state_dir=None if args.state_dir is None else str(args.state_dir),
         fsync=args.fsync,
         snapshot_interval=args.snapshot_interval,
@@ -407,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "without one")
     p_srv.add_argument("--no-shutdown-op", action="store_true",
                        help="disable the remote 'shutdown' op")
-    p_srv.add_argument("--seed", type=int, default=0,
-                       help="supervisor jitter seed")
     p_srv.add_argument("--state-dir", type=Path, default=None, metavar="DIR",
                        help="durable state: write-ahead log + snapshots in "
                             "DIR; on start, recovery restores registered "

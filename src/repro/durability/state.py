@@ -47,7 +47,11 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import RecoveryError, UpdateVerificationError
+from repro.errors import (
+    InvalidParameterError,
+    RecoveryError,
+    UpdateVerificationError,
+)
 from repro.graphs.graph import Graph
 from repro.resilience.faults import FaultPlan
 from repro.serve.tenancy import TenantQuota, TenantRegistry
@@ -125,9 +129,9 @@ class DurableState:
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if snapshot_interval < 1:
-            raise ValueError("snapshot_interval must be >= 1")
+            raise InvalidParameterError("snapshot_interval must be >= 1")
         if snapshot_retention < 1:
-            raise ValueError("snapshot_retention must be >= 1")
+            raise InvalidParameterError("snapshot_retention must be >= 1")
         self.state_dir = os.path.abspath(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
         self.fsync = fsync

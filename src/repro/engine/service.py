@@ -548,7 +548,7 @@ class CutEngine:
             branching, self.params.decomposition,
         )
         # one retry round: a broken process pool fails every branch of
-        # its round, and under a supervisor the retry runs on ``sync``
+        # its round, and parallel_map runs the retry on ``sync``
         with obs.phase("batch-search", ledger):
             outcomes = parallel_map(
                 _batch_search, seeds, retries=1,

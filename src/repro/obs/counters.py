@@ -23,8 +23,6 @@ Namespaces (the full catalogue lives in ``docs/observability.md``):
 ``executor.*``            real-parallel dispatch (``retries``, ``dispatches``)
 ``resilience.*``          budget/retry machinery (``checkpoints``,
                           ``attempts``, ``fallbacks``)
-``supervisor.*``          executor health model (``degradations``,
-                          ``failures``, ``probes``, ``recoveries``)
 ``checkpoint.*``          crash-resume persistence (``saves``,
                           ``resumes``, ``stage_loads``, ``finalized``)
 ``engine.*``              staged-engine queries and artifact cache

@@ -29,23 +29,17 @@ available, selected by the ``REPRO_EXECUTOR`` environment variable or
 Robustness: one failed branch must not destroy the whole pool.
 :func:`parallel_map` retries failed items (``retries``) and then raises
 the first remaining failure in item order.  A broken shared process
-pool (a worker died) is evicted so the next attempt starts fresh, and
+pool (a worker died) is evicted so the next call forks a fresh one, and
 any ``BaseException`` escaping a dispatch (``KeyboardInterrupt``
 included) evicts the pool on the way out — an interrupted run cannot
-leak a poisoned pool into the next call.
+leak a poisoned pool into the next call.  When a ``process`` round
+fails on the substrate itself — a ``BrokenExecutor`` or a hung worker's
+``TimeoutError`` — the call's remaining retry rounds run on ``sync``;
+an application failure in a branch retries on the same backend.
 
 Pools default to :func:`effective_cpus` workers: the affinity mask
 capped by the cgroup CPU quota, so a quota-capped container does not
 oversubscribe the CPUs it is granted.
-
-When a :class:`repro.resilience.supervisor.Supervisor` is armed
-(:func:`~repro.resilience.supervisor.supervised_scope`, as the serve
-daemon does for ``batch``-class tenants), every dispatch round is
-routed through its health model: a backend with recent broken pools or
-worker hangs is skipped down the ``process → sync`` degradation chain
-(with exponential backoff and recovery probes), and each downgrade is
-recorded as a typed :class:`~repro.results.DegradationEvent` plus
-``supervisor.*`` counters.
 
 Counters: ``executor.dispatches`` / ``executor.items`` /
 ``executor.retries``, plus ``executor.dispatch_overhead_s`` (parent-side
@@ -88,7 +82,6 @@ from repro.resilience.faults import (
     poll as _poll_site,
     poll_indexed as _poll_fault,
 )
-from repro.resilience.supervisor import Supervisor, active_supervisor
 
 if TYPE_CHECKING:
     # loading ProcessPoolExecutor imports multiprocessing (~1.4 MiB);
@@ -374,7 +367,7 @@ def _attempt_process(
     if _poll_site(SITE_POOL_BREAK) is not None:
         # injected pool breakage: every branch of this round dies with
         # the pool, which is evicted — the same shape a real worker
-        # death has, so retry/degradation paths are exercised exactly
+        # death has, so the eviction and sync-retry paths run exactly
         _evict_shared_pool(workers, tag)
         for i in dispatch:
             failures[i] = BrokenExecutor(
@@ -405,37 +398,25 @@ def _attempt_process(
         raise
     if any(isinstance(e, BrokenExecutor) for e in failures.values()):
         # a dead worker poisons the whole ProcessPoolExecutor; evict so
-        # the retry (or the next caller) gets a fresh pool
+        # the next call forks a fresh pool
         _evict_shared_pool(workers, tag)
     return results, failures
 
 
-def _route(requested: str, supervisor: Optional[Supervisor], fn: Callable) -> str:
-    """Resolve the backend for one dispatch round: supervisor health
-    first, then the process backend's requirement that ``fn`` pickles."""
-    backend = supervisor.select(requested) if supervisor is not None else requested
-    if backend == "process":
+def _route(requested: str, fn: Callable) -> str:
+    """Resolve the backend for a call: the process backend needs a
+    ``fn`` that pickles."""
+    if requested == "process":
         try:
             pickle.dumps(fn)
         except Exception:  # noqa: BLE001 - lambdas/closures can't cross processes
-            backend = "sync"
-    return backend
+            return "sync"
+    return requested
 
 
-def _report_health(supervisor: Supervisor, backend: str, failures: dict) -> None:
-    """Classify one round's failures into backend-health signals.
-
-    Broken pools and worker hangs (recorded as ``TimeoutError``) are
-    substrate failures and enter backoff; branch-level application
-    errors (including injected branch faults) say nothing about the
-    backend and are ignored here.
-    """
-    if any(isinstance(e, BrokenExecutor) for e in failures.values()):
-        supervisor.record_failure(backend, "broken_pool")
-    elif any(isinstance(e, TimeoutError) for e in failures.values()):
-        supervisor.record_failure(backend, "timeout")
-    elif not failures:
-        supervisor.record_success(backend)
+#: failures of the execution substrate rather than of a branch: a dead
+#: worker's broken pool, or a hung worker's heartbeat stall
+_SUBSTRATE_FAILURES = (BrokenExecutor, TimeoutError)
 
 
 def parallel_map(
@@ -473,20 +454,17 @@ def parallel_map(
 
     Notes
     -----
-    With a :class:`~repro.resilience.supervisor.Supervisor` armed in the
-    calling context, the backend is re-resolved through its health model
-    before **every** dispatch round: a round whose pool broke (or whose
-    worker hung) records a backend failure, and the retry round runs on
-    the next healthy stage of the degradation chain.
+    A ``process`` round whose failures include a broken pool or a hung
+    worker (``BrokenExecutor``, ``TimeoutError``) sends the call's
+    remaining retry rounds to ``sync``; application failures retry on
+    the same backend.
     """
     if retries < 0:
         raise InvalidParameterError("retries must be >= 0")
     items = list(items)
     if not items:
         return []
-    requested = executor_backend()
-    supervisor = active_supervisor()
-    backend = _route(requested, supervisor, fn)
+    backend = _route(executor_backend(), fn)
     workers = max_workers or _default_workers()
 
     reg = counters()
@@ -508,14 +486,10 @@ def parallel_map(
         results.update(got)
         failed = bad
         todo = sorted(bad)
-        if supervisor is not None:
-            _report_health(supervisor, backend, bad)
         if not todo:
             break
-        if supervisor is not None:
-            # the next round dispatches on whatever the health model now
-            # considers the best backend at or below the requested one
-            backend = _route(requested, supervisor, fn)
+        if any(isinstance(e, _SUBSTRATE_FAILURES) for e in bad.values()):
+            backend = "sync"  # the pool broke or hung: retry in line
 
     if failed:
         raise failed[min(failed)]

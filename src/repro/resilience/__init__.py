@@ -1,17 +1,15 @@
 """Resilient execution layer: budgets, verified retries, fallback chain,
-health-aware execution supervision, checkpoint/resume, and deterministic
-fault injection.
+checkpoint/resume, and deterministic fault injection.
 
 See ``docs/robustness.md`` for the budget/retry/fallback contract, the
-``process → sync`` degradation chain, and the checkpoint file
+executor's ``sync`` retry after a broken pool, and the checkpoint file
 format.
 
 Only the leaf modules (:mod:`~repro.resilience.budget`,
-:mod:`~repro.resilience.faults`, :mod:`~repro.resilience.supervisor`)
-load eagerly — they are imported by the PRAM substrate's
-checkpoint/fault/routing hooks, so anything heavier here would be an
-import cycle.  The driver, verifier, and checkpoint store re-export
-lazily.
+:mod:`~repro.resilience.faults`) load eagerly — they are imported by
+the PRAM substrate's checkpoint and fault hooks, so anything heavier
+here would be an import cycle.  The driver, verifier, and checkpoint
+store re-export lazily.
 """
 
 from repro.resilience.budget import Budget, active_budget, budget_scope, checkpoint
@@ -22,13 +20,6 @@ from repro.resilience.faults import (
     FaultPlan,
     canonical_plans,
     inject,
-)
-from repro.resilience.supervisor import (
-    DEGRADATION_CHAIN,
-    DegradationEvent,
-    Supervisor,
-    active_supervisor,
-    supervised_scope,
 )
 
 __all__ = [
@@ -44,11 +35,6 @@ __all__ = [
     "SERVICE_SITES",
     "canonical_plans",
     "inject",
-    "Supervisor",
-    "DegradationEvent",
-    "DEGRADATION_CHAIN",
-    "supervised_scope",
-    "active_supervisor",
     "DriverCheckpoint",
     "run_fingerprint",
     "VerificationReport",

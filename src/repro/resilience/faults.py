@@ -33,8 +33,8 @@ Sites instrumented in the pipeline
 ``executor.pool_break``
     :func:`repro.pram.executor.parallel_map` loses its shared process
     pool mid-dispatch (every in-flight branch fails with
-    ``BrokenExecutor``, the pool is evicted) — the supervisor's
-    degradation chain takes over.
+    ``BrokenExecutor``, the pool is evicted) — the call's retry round
+    runs on ``sync``.
 ``executor.worker_hang``
     The branch whose item index equals ``Fault.index`` is recorded as a
     ``TimeoutError`` (a hung worker detected by heartbeat stall) without

@@ -23,35 +23,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.report import RunReport
 
-__all__ = ["CutResult", "ApproxResult", "VerificationReport", "DegradationEvent"]
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One health-driven executor-backend degradation, appended by
-    :class:`repro.resilience.supervisor.Supervisor` to its ``events``.
-
-    Attributes
-    ----------
-    backend_from:
-        The backend the caller asked for (e.g. ``"process"``).
-    backend_to:
-        The healthy backend the supervisor routed to instead (further
-        down the ``process → sync`` chain).
-    reason:
-        Why ``backend_from`` was unhealthy: ``"broken_pool"``,
-        ``"timeout"`` (a hung worker), or the generic ``"backoff"``.
-    at:
-        Supervisor-clock timestamp (monotonic seconds) of the decision.
-    detail:
-        Free-form context (best effort).
-    """
-
-    backend_from: str
-    backend_to: str
-    reason: str
-    at: float
-    detail: str = ""
+__all__ = ["CutResult", "ApproxResult", "VerificationReport"]
 
 
 @dataclass(frozen=True)

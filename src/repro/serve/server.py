@@ -11,11 +11,11 @@ threaded front end.
   itself runs on a thread so the event loop keeps accepting);
 * an :class:`~repro.obs.CounterRegistry` every handler runs under
   (``serve.*`` plus the engine/pipeline counters), exposed by the
-  ``metrics`` op;
-* a :class:`~repro.resilience.Supervisor` armed around every query, so
-  executor-level failures inside the engine degrade
-  ``process → sync`` exactly as they do in the resilient
-  driver.
+  ``metrics`` op.
+
+A query whose tenant pins the ``process`` backend survives a broken
+pool: :func:`~repro.pram.executor.parallel_map` runs the retry round
+on ``sync``.
 
 Every request the service *accepts* receives exactly one typed
 response (the overload contract of ``docs/service.md``): a request is
@@ -58,7 +58,6 @@ from repro.resilience.faults import (
     inject,
     poll,
 )
-from repro.resilience.supervisor import Supervisor, supervised_scope
 from repro.serve.admission import Admitted, AdmissionQueue
 from repro.serve.protocol import (
     OPS,
@@ -107,8 +106,6 @@ class ServerConfig:
     #: enable the ``_stall`` debug op (tests only: a cooperative busy
     #: wait that makes queue-full and shedding deterministic)
     debug_ops: bool = False
-    #: supervisor jitter seed (deterministic degradation schedules)
-    seed: int = 0
     #: directory for the WAL + snapshots (None = in-memory only, the
     #: historical behavior); see :mod:`repro.durability`
     state_dir: Optional[str] = None
@@ -132,10 +129,6 @@ class CutService:
         Counter sink; defaults to a private
         :class:`~repro.obs.CounterRegistry` (the ``metrics`` op
         snapshots it).
-    supervisor:
-        Executor health model armed around every query; defaults to a
-        private :class:`~repro.resilience.Supervisor` seeded from the
-        config.
     faults:
         An optional :class:`~repro.resilience.FaultPlan` polled at the
         ``serve.*`` sites (chaos mode).  When None the ambient
@@ -150,18 +143,17 @@ class CutService:
         config: ServerConfig = ServerConfig(),
         *,
         registry: Optional[CounterRegistry] = None,
-        supervisor: Optional[Supervisor] = None,
         faults: Optional[FaultPlan] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config
         self.registry = registry if registry is not None else CounterRegistry()
-        self.supervisor = (
-            supervisor if supervisor is not None else Supervisor(seed=config.seed)
-        )
         self.faults = faults
         self.clock = clock
         self.tenants = TenantRegistry(config.default_budget_class)
+        if config.workers < 1:
+            # with no dispatch worker an admitted query is never answered
+            raise InvalidParameterError("serve workers must be >= 1")
         self.queue = AdmissionQueue(config.queue_depth, clock=clock)
         self._workers: List[asyncio.Task] = []
         self._stopping = False
@@ -492,16 +484,14 @@ class CutService:
         self, engine, request: Dict[str, Any], remaining: float, backend: Optional[str]
     ) -> Dict[str, Any]:
         """One engine query on a worker thread, under the service's
-        counter registry, supervisor, the request's deadline budget, and
-        (when the tenant's budget class pins one) a forced executor
-        backend.  A pinned ``process`` backend whose pool breaks
-        degrades to ``sync`` through the supervisor — queries degrade,
-        not fail."""
+        counter registry, the request's deadline budget, and (when the
+        tenant's budget class pins one) a forced executor backend.  A
+        pinned ``process`` backend whose pool breaks retries on
+        ``sync`` — queries degrade, not fail."""
         op = request["op"]
         with contextlib.ExitStack() as scopes:
             if backend is not None:
                 scopes.enter_context(force_executor(backend))
-            scopes.enter_context(supervised_scope(self.supervisor))
             scopes.enter_context(self._scoped(remaining))
             fault = self._poll(SITE_SERVE_HANDLER_CRASH)
             if fault is not None:

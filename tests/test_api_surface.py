@@ -33,8 +33,6 @@ PUBLIC_API = [
     "CutResult",
     "ApproxResult",
     "VerificationReport",
-    "DegradationEvent",
-    "Supervisor",
     "RunReport",
     "CutPipelineParams",
     "SkeletonParams",

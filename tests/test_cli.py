@@ -178,6 +178,38 @@ class TestServeCommand:
         assert args.budget_class == "interactive"
         assert args.no_shutdown_op is True
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--snapshot-interval", "0"],
+            ["--snapshot-retention", "0"],
+        ],
+        ids=["workers", "snapshot-interval", "snapshot-retention"],
+    )
+    def test_serve_bad_setting_exits_2_with_one_line(self, flags, tmp_path):
+        # refused before the daemon binds: exit 2, one `error:` line, no
+        # traceback (a daemon that started would hit the timeout)
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--state-dir", str(tmp_path / "state"), *flags],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: InvalidParameterError:")
+
     def test_serve_daemon_round_trip(self):
         # the real entry point: spawn `python -m repro serve`, parse the
         # printed ephemeral port, ping it, shut it down over the wire

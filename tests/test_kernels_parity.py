@@ -7,8 +7,9 @@ same structural visit counters, and the same ledger work and depth —
 totals and per-phase.  These tests enforce that contract on randomized
 instances, plus the executor-backend semantics: the process backend
 must match sync bit for bit (values, stats, ledger work/depth, traced
-and untraced), and fault injection and budget checkpoints must fire
-under it although its workers cannot see the caller's contextvars.
+and untraced), fault injection and budget checkpoints must fire
+under it although its workers cannot see the caller's contextvars, and
+a broken pool or a hung worker must send the retry round to sync.
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ from repro.pram import (
 from repro.primitives import all_subtree_costs, postorder, root_tree
 from repro.rangesearch import CutOracle, RangeTree2D
 from repro.resilience.budget import Budget, budget_scope
-from repro.resilience.faults import SITE_EXECUTOR_BRANCH, Fault, FaultPlan, inject
+from repro.resilience.faults import (
+    SITE_EXECUTOR_BRANCH,
+    SITE_POOL_BREAK,
+    Fault,
+    FaultPlan,
+    canonical_plans,
+    inject,
+)
 from repro.trees import binarize_parent
 from repro.tworespect.algorithm import two_respecting_min_cut
 
@@ -560,6 +568,10 @@ def _die(context, x):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _pid(x):
+    return os.getpid()
+
+
 def _search_seed(context, seed):
     graph, parent, branching = context
     led = Ledger()
@@ -608,8 +620,8 @@ class TestExecutorBackends:
     def test_process_falls_back_for_lambdas(self):
         with force_executor("process"):
             assert parallel_map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert ex._route("process", None, lambda x: x) == "sync"
-        assert ex._route("process", None, _square) == "process"
+        assert ex._route("process", lambda x: x) == "sync"
+        assert ex._route("process", _square) == "process"
 
     @pytest.mark.parametrize("backend", ["sync", "process"])
     def test_fault_injection_fires(self, backend):
@@ -689,6 +701,31 @@ class TestExecutorBackends:
             assert (2, "die") not in ex._shared_pools
             out = parallel_map(_scale, [7], 2, context={"factor": 2}, context_key="die")
         assert out == [14]
+
+    def _pids(self, plan):
+        with force_executor("process"), inject(plan):
+            return parallel_map(_pid, [0, 1, 2], 2, retries=1)
+
+    def test_pool_break_retries_on_sync(self):
+        plan = FaultPlan([Fault(SITE_POOL_BREAK)])
+        assert self._pids(plan) == [os.getpid()] * 3
+        assert plan.fired == [(SITE_POOL_BREAK, 0)]
+
+    def test_worker_hang_retries_on_sync(self):
+        pids = self._pids(canonical_plans(seed=0)["worker_hang"])
+        assert pids[0] == os.getpid()
+        assert os.getpid() not in pids[1:]
+
+    def test_branch_fault_retries_on_process(self):
+        # an application failure says nothing about the pool
+        pids = self._pids(FaultPlan([Fault(SITE_EXECUTOR_BRANCH, index=0)]))
+        assert os.getpid() not in pids
+
+    def test_fresh_call_after_pool_break_uses_workers(self):
+        self._pids(FaultPlan([Fault(SITE_POOL_BREAK)]))
+        with force_executor("process"):
+            pids = parallel_map(_pid, [0, 1, 2], 2)
+        assert os.getpid() not in pids
 
     def test_default_pool_size_follows_effective_cpus(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

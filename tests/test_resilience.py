@@ -35,6 +35,7 @@ from repro.resilience.faults import (
     SITE_CORRUPT_VALUE,
     SITE_EXECUTOR_BRANCH,
 )
+from repro.resilience.driver import _attempt_slice
 from repro.resilience.verify import one_respecting_upper_bound
 from repro.sparsify.skeleton import SkeletonParams
 
@@ -462,3 +463,36 @@ class TestFiniteWeightValidation:
         side[0] = True
         with pytest.raises(GraphFormatError):
             validate_cut(g, side, float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# The driver's attempt slices donate unused budget forward
+# ---------------------------------------------------------------------------
+class TestAttemptSlices:
+    def test_none_budget_stays_unbounded(self):
+        assert _attempt_slice(None, 0, 3) is None
+
+    def test_last_attempt_gets_everything_left(self):
+        assert _attempt_slice(5.0, 2, 3) == pytest.approx(5.0)
+
+    def test_slices_grow_geometrically_over_static_remainder(self):
+        # with the remainder held fixed the weights are 2^a / (2^A - 2^a)
+        assert _attempt_slice(7.0, 0, 3) == pytest.approx(7.0 * 1 / 7)
+        assert _attempt_slice(7.0, 1, 3) == pytest.approx(7.0 * 2 / 6)
+
+    def test_fast_failure_donates_unused_budget(self):
+        # attempt 0 gets 1/7 of a 7s budget; if it fails instantly the
+        # full ~6s remainder flows into attempt 1's slice — strictly more
+        # than the static split (2/7 * 7 = 2s) would have granted
+        total = 7.0
+        first = _attempt_slice(total, 0, 3)
+        spent = 0.1  # attempt 0 failed fast
+        donated = _attempt_slice(total - spent, 1, 3)
+        static = total * 2 / 7
+        assert first == pytest.approx(1.0)
+        assert donated == pytest.approx((total - spent) / 3)
+        assert donated > static
+
+    def test_exhausted_remainder_clamps_positive(self):
+        assert _attempt_slice(0.0, 1, 3) > 0.0
+        assert _attempt_slice(-5.0, 1, 3) > 0.0
