@@ -21,7 +21,6 @@ been removed).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
@@ -129,19 +128,14 @@ def approximate_minimum_cut(
     ApproxResult with the estimate, the [low, high] bracket, the located
     skeleton layer and every layer's measured min-cut.
     """
-    if trace and not obs.tracing_active():
-        if ledger is NULL_LEDGER:
-            ledger = Ledger()
-        tracer = obs.Tracer(ledger=ledger)
-        with tracer.activate():
-            res = _approximate_impl(
-                graph, params, rng, ledger, solver, epsilon, repeats
-            )
-        report = tracer.report(
-            algorithm="approximate_minimum_cut", n=graph.n, m=graph.m
-        )
-        return dataclasses.replace(res, report=report)
-    return _approximate_impl(graph, params, rng, ledger, solver, epsilon, repeats)
+    return obs.traced(
+        lambda led: _approximate_impl(graph, params, rng, led, solver, epsilon, repeats),
+        ledger,
+        trace,
+        algorithm="approximate_minimum_cut",
+        n=graph.n,
+        m=graph.m,
+    )
 
 
 def _approximate_impl(

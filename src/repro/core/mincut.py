@@ -23,7 +23,6 @@ result.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Literal, Optional
 
 import numpy as np
@@ -101,16 +100,13 @@ def minimum_cut(
         hierarchy=hierarchy_params,
         packing_iterations=packing_iterations,
     )
-    traced = trace and not obs.tracing_active()
-    if traced and ledger is NULL_LEDGER:
-        ledger = Ledger()
-    engine = CutEngine(
-        graph, rng=rng, approx_value=approx_value, pipeline=params, ledger=ledger
+    return obs.traced(
+        lambda led: CutEngine(
+            graph, rng=rng, approx_value=approx_value, pipeline=params, ledger=led
+        ).min_cut(),
+        ledger,
+        trace,
+        algorithm="minimum_cut",
+        n=graph.n,
+        m=graph.m,
     )
-    if not traced:
-        return engine.min_cut()
-    tracer = obs.Tracer(ledger=ledger)
-    with tracer.activate():
-        res = engine.min_cut()
-    report = tracer.report(algorithm="minimum_cut", n=graph.n, m=graph.m)
-    return dataclasses.replace(res, report=report)

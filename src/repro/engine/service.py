@@ -415,16 +415,14 @@ class CutEngine:
         and charge nothing.
         """
         obs.counters().add("engine.queries")
-        if trace and not obs.tracing_active():
-            ledger = self.ledger if self.ledger is not NULL_LEDGER else Ledger()
-            tracer = obs.Tracer(ledger=ledger)
-            with tracer.activate():
-                res = self._answer(ledger)
-            report = tracer.report(
-                algorithm="engine.min_cut", n=self._graph.n, m=self._graph.m
-            )
-            return dataclasses.replace(res, report=report)
-        return self._answer(self.ledger)
+        return obs.traced(
+            self._answer,
+            self.ledger,
+            trace,
+            algorithm="engine.min_cut",
+            n=self._graph.n,
+            m=self._graph.m,
+        )
 
     def _epoch_stats(self) -> Dict[str, float]:
         return {
@@ -503,19 +501,15 @@ class CutEngine:
         if reg.enabled:
             reg.add("engine.batch_queries")
             reg.add("engine.queries", float(len(seeds)))
-        if trace and not obs.tracing_active():
-            ledger = self.ledger if self.ledger is not NULL_LEDGER else Ledger()
-            tracer = obs.Tracer(ledger=ledger)
-            with tracer.activate():
-                results = self._batch_impl(seeds, ledger)
-            report = tracer.report(
-                algorithm="engine.min_cut_batch",
-                n=self._graph.n,
-                m=self._graph.m,
-                batch=len(seeds),
-            )
-            return [dataclasses.replace(r, report=report) for r in results]
-        return self._batch_impl(seeds, self.ledger)
+        return obs.traced(
+            lambda led: self._batch_impl(seeds, led),
+            self.ledger,
+            trace,
+            algorithm="engine.min_cut_batch",
+            n=self._graph.n,
+            m=self._graph.m,
+            batch=len(seeds),
+        )
 
     def _batch_impl(self, seeds: List[SeedLike], ledger: Ledger) -> List[CutResult]:
         if len(self._delta_log):

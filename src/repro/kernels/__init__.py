@@ -3,10 +3,11 @@
 The paper's per-tree search reduces to one 2-D orthogonal range-search
 oracle (Lemmas A.1/A.2) probed by SMAWK and the centroid-guided
 interest-terminal search.  The per-entry formulation — range trees of
-Python node objects (:class:`repro.rangesearch.tree2d.RangeTree2D`),
-entry-at-a-time SMAWK (:mod:`repro.monge`), per-edge centroid searches
-(:func:`repro.trees.centroid.deepest_on_interest_path`) — is the
-*instrument* whose ledger charges the theorems are checked against.
+Python node objects (``RangeTree2D``, ``tests/reference_rangetree.py``),
+entry-at-a-time SMAWK (``tests/reference_monge.py``), per-edge centroid
+searches (``deepest_on_interest_path``,
+``tests/reference_tworespect.py``) — is the *instrument* whose ledger
+charges the theorems are checked against; it lives under ``tests/``.
 The library runs only the kernels in this package, whose contract
 against that formulation is
 

@@ -1,9 +1,9 @@
 """Flattened CSR-style 2-D range tree with batched NumPy traversal.
 
-Drop-in fast path for :class:`repro.rangesearch.tree2d.RangeTree2D`
-(Lemma 4.25): the same first-level b-ary tree over x with per-node
-auxiliary 1-D trees over y, but stored as a handful of flat arrays
-instead of ~n log n Python node objects:
+The range tree of Lemma 4.25, matching the per-entry ``RangeTree2D``
+of ``tests/reference_rangetree.py``: the same first-level b-ary tree
+over x with per-node auxiliary 1-D trees over y, but stored as a
+handful of flat arrays instead of ~n log n Python node objects:
 
 * ``YS_ALL``  — every x-level's y-sorted keys, concatenated;
 * ``AUX[j]``  — for every auxiliary depth j, the level-j cell arrays of
@@ -40,6 +40,7 @@ identical order), ~20x faster than building the node objects.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -47,9 +48,21 @@ import numpy as np
 from repro.obs.counters import counters
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
-from repro.rangesearch.tree1d import RangeQueryStats
 
-__all__ = ["FlatRangeTree2D"]
+__all__ = ["FlatRangeTree2D", "RangeQueryStats"]
+
+
+@dataclass
+class RangeQueryStats:
+    """Structural work counters for range structures."""
+
+    queries: int = 0
+    nodes_visited: int = 0
+
+    def merge(self, other: "RangeQueryStats") -> None:
+        self.queries += other.queries
+        self.nodes_visited += other.nodes_visited
+
 
 #: Single-set batch sizes at or below this answer
 #: :meth:`FlatRangeTree2D.query_many` with a scalar loop.  Scalar queries

@@ -1,6 +1,6 @@
 """Resumable SMAWK over the cut oracle, scheduled across a lockstep group.
 
-The reference SMAWK (:mod:`repro.monge.smawk`) evaluates Monge entries
+The reference SMAWK (``tests/reference_monge.py``) evaluates Monge entries
 one ``lookup(i, j)`` call at a time; with cut-oracle entries each call
 is a fresh 2-D range query.  :func:`_smawk_steps` keeps the *identical*
 algorithm — same reduce-phase comparisons, same recursion, same

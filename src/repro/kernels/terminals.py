@@ -1,12 +1,12 @@
 """Batched interest-terminal search.
 
 The per-entry formulation of Claim 4.13 runs two centroid-guided
-searches (:func:`deepest_on_interest_path`) per tree edge, each probing
-the interest predicates one oracle call at a time — by far the largest
+searches (``deepest_on_interest_path``) per tree edge, each probing the
+interest predicates one oracle call at a time — by far the largest
 query volume of the 2-respecting pipeline; ``tests/reference_tworespect.py``
 keeps it as the parity reference.  The driver here runs
 *every* edge's searches simultaneously as a masked NumPy state machine
-over :func:`deepest_on_interest_path`'s control flow: probe-free
+over ``deepest_on_interest_path``'s control flow: probe-free
 navigation steps (ancestor tests, child-toward walks, centroid component
 descents) advance as vectorized rounds, and each round's pending
 membership probes — both predicate kinds together — are answered by one
@@ -50,19 +50,17 @@ oracle entry point; the 2-respecting driver guarantees it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger
+from repro.rangesearch.cutqueries import CutOracle, OracleForest
+from repro.trees.centroid import CentroidDecomposition
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cutqueries -> kernels)
-    from repro.rangesearch.cutqueries import CutOracle
-    from repro.trees.centroid import CentroidDecomposition
-
-__all__ = ["find_interest_terminals_batched"]
+__all__ = ["find_interest_terminals"]
 
 
 def _component_child_toward(
@@ -87,17 +85,21 @@ def _offset(a: np.ndarray, off: int) -> np.ndarray:
     return np.where(a >= 0, a + off, -1)
 
 
-def find_interest_terminals_batched(
-    oracles: Sequence["CutOracle"],
-    cds: Sequence["CentroidDecomposition"],
+def find_interest_terminals(
+    oracles: Sequence[CutOracle],
+    cds: Sequence[CentroidDecomposition],
     ledgers: Sequence[Ledger],
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per tree, per tree edge, the interest terminals (c_e, d_e) of
-    Claim 4.13: every edge's two searches of every tree advanced
-    together with batched probes.  ``oracles`` share one stacked range
-    tree; tree i charges ``ledgers[i]``."""
-    from repro.rangesearch.cutqueries import OracleForest
+    """Per tree, per tree edge e (indexed by child endpoint), the nodes
+    c_e and d_e delimiting e's cross- and down-interest paths (Claim
+    4.13): every edge's two searches of every tree advanced together
+    with batched probes.
 
+    ``oracles[i]`` (all over one stacked range tree, see
+    :func:`~repro.rangesearch.cutqueries.stack_oracle_points`) and
+    ``cds[i]`` describe tree i, whose charges go to ``ledgers[i]``; one
+    tree is a group of one.  Needs prefilled cost caches for exact
+    charges (``prefill_costs``)."""
     forest = OracleForest(oracles)
     offs = forest.offsets
     k = len(oracles)

@@ -4,8 +4,7 @@
 derived structures (binary-lifting LCA tables, children lists) are pure
 functions of the instance.  The helpers here memoise them directly on
 the tree object — the cache dies with the instance, so invalidation is
-by identity and a rebuilt tree never sees stale data.  This follows the
-existing pattern of :func:`repro.trees.centroid._tree_children`.
+by identity and a rebuilt tree never sees stale data.
 
 Ledger note: the build charge is paid when the structure is first
 built; later calls return the memo without charging, exactly like any

@@ -44,6 +44,7 @@ from repro.obs.span import (
     current_tracer,
     phase,
     suppress_tracing,
+    traced,
     tracing_active,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "tracing_active",
+    "traced",
     "phase",
     "suppress_tracing",
     "CounterRegistry",

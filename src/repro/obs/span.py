@@ -36,11 +36,12 @@ still reflect the fork/join semantics.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar
 
 from repro.errors import ReproError
 from repro.obs.counters import NULL_COUNTERS, CounterRegistry, counting_scope
@@ -51,9 +52,12 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "tracing_active",
+    "traced",
     "phase",
     "suppress_tracing",
 ]
+
+_R = TypeVar("_R")
 
 
 @dataclass
@@ -251,6 +255,31 @@ def current_tracer():
 def tracing_active() -> bool:
     """True when a real :class:`Tracer` is ambient."""
     return _active_tracer.get() is not NULL_TRACER
+
+
+def traced(
+    run: Callable[[Ledger], _R], ledger: Ledger, trace: bool, **meta: object
+) -> _R:
+    """``run(ledger)``; with ``trace``, unless a tracer is already
+    ambient, run it under a fresh :class:`Tracer` and attach the
+    :class:`~repro.obs.report.RunReport` (metadata ``meta``) as
+    ``.report`` — to each result when ``run`` returns a list.
+
+    A traced run on ``NULL_LEDGER`` gets a private :class:`Ledger`, so
+    the report still carries real work/depth deltas.  The tracer only
+    reads the ledger: accounting is bit-identical either way.
+    """
+    if not trace or tracing_active():
+        return run(ledger)
+    if ledger is NULL_LEDGER:
+        ledger = Ledger()
+    tracer = Tracer(ledger=ledger)
+    with tracer.activate():
+        res = run(ledger)
+    report = tracer.report(**meta)
+    if isinstance(res, list):
+        return [dataclasses.replace(r, report=report) for r in res]  # type: ignore[return-value]
+    return dataclasses.replace(res, report=report)  # type: ignore[type-var]
 
 
 @contextmanager

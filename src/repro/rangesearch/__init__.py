@@ -1,14 +1,9 @@
-"""Orthogonal range searching and the cut-query oracle (Section 4.3,
-Appendix A)."""
+"""The cut-query oracle of Section 4.3 and Appendix A, over the
+orthogonal range tree of :mod:`repro.kernels.flat2d`."""
 
 from repro.rangesearch.cutqueries import CutOracle, NaiveCutOracle
-from repro.rangesearch.tree1d import RangeQueryStats, RangeTree1D
-from repro.rangesearch.tree2d import RangeTree2D
 
 __all__ = [
-    "RangeTree1D",
-    "RangeTree2D",
-    "RangeQueryStats",
     "CutOracle",
     "NaiveCutOracle",
 ]

@@ -25,17 +25,15 @@ structurally by the underlying range trees.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.kernels.flat2d import FlatRangeTree2D
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels -> rangesearch)
-    from repro.kernels.flat2d import FlatRangeTree2D
 
 __all__ = [
     "CutOracle",
@@ -69,7 +67,7 @@ def oracle_points(
 
 def stack_oracle_points(
     graph: Graph, trees: Sequence[RootedTree], branching: int
-) -> "FlatRangeTree2D":
+) -> FlatRangeTree2D:
     """One stacked range tree whose set i holds ``trees[i]``'s points.
 
     Every tree of one graph has the same 2m points up to relabelling, so
@@ -77,8 +75,6 @@ def stack_oracle_points(
     them at once.  Charges nothing: ``CutOracle(graph, trees[i], ...,
     points=stack, index=i)`` charges set i's build on its own ledger.
     """
-    from repro.kernels.flat2d import FlatRangeTree2D
-
     sets = [oracle_points(graph, t) for t in trees]
     return FlatRangeTree2D(
         np.stack([xs for xs, _, _ in sets]),
@@ -114,7 +110,7 @@ class CutOracle:
         branching: int = 2,
         ledger: Ledger = NULL_LEDGER,
         *,
-        points: Optional["FlatRangeTree2D"] = None,
+        points: Optional[FlatRangeTree2D] = None,
         index: int = 0,
     ) -> None:
         if graph.n > tree.n:
@@ -122,10 +118,6 @@ class CutOracle:
         self.graph = graph
         self.tree = tree
         if points is None:
-            # Imported lazily — kernels.flat2d needs rangesearch.tree1d, so
-            # a module-level import would cycle through this package.
-            from repro.kernels.flat2d import FlatRangeTree2D
-
             xs, ys, ws = oracle_points(graph, tree)
             points = FlatRangeTree2D(xs, ys, ws, branching=branching, ledger=ledger)
         else:
@@ -261,20 +253,6 @@ class CutOracle:
         u = int(np.argmin(c))
         return float(c[u]), u
 
-    def cross_cost_many(self, us: np.ndarray, vs: np.ndarray) -> _BatchResult:
-        """Batched :meth:`cross_cost` (vertex-disjoint subtree pairs)."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        su, pu = self._spans(us)
-        sv, pv = self._spans(vs)
-        return self.points.query_many(sv, pv, su, pu, self._sets(us))
-
-    def down_cost_many(self, us: np.ndarray, vs: np.ndarray) -> _BatchResult:
-        """Batched :meth:`down_cost` (u a descendant of v)."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        return self._mixed_pair_costs(us, vs, np.ones(us.shape[0], dtype=bool))
-
     def _mixed_pair_costs(
         self, a: np.ndarray, b: np.ndarray, down: np.ndarray
     ) -> _BatchResult:
@@ -347,28 +325,6 @@ class CutOracle:
             depths[ns] = du[ns] + dv + pd
         return vals, works, depths
 
-    def cross_interested_many(self, us: np.ndarray, vs: np.ndarray) -> _BatchResult:
-        """Batched :meth:`cross_interested`; values are 0.0/1.0."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        n = us.shape[0]
-        vals = np.zeros(n, dtype=np.float64)
-        works = np.zeros(n, dtype=np.float64)
-        depths = np.zeros(n, dtype=np.float64)
-        live = (us != vs) & ~self._ancestor_mask(us, vs)
-        li = np.flatnonzero(live)
-        if li.shape[0]:
-            ce, wc, dc = self.cost_many(us[li])
-            anc = self._ancestor_mask(vs[li], us[li])  # f an ancestor edge of e
-            # ancestor rows need down_cost(u, v), the rest cross_cost —
-            # one fused query batch for the whole round
-            qv, mw, md = self._mixed_pair_costs(us[li], vs[li], anc)
-            mass = np.where(anc, ce - qv, qv)
-            vals[li] = (ce < 2.0 * mass).astype(np.float64)
-            works[li] = wc + mw
-            depths[li] = dc + md
-        return vals, works, depths
-
     def interested_many(
         self, us: np.ndarray, vs: np.ndarray, cross: np.ndarray
     ) -> _BatchResult:
@@ -401,24 +357,6 @@ class CutOracle:
             vals[li] = (ce < 2.0 * mass).astype(np.float64)
             works[li] = wc + mw
             depths[li] = dc + md
-        return vals, works, depths
-
-    def down_interested_many(self, us: np.ndarray, vs: np.ndarray) -> _BatchResult:
-        """Batched :meth:`down_interested`; values are 0.0/1.0."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        n = us.shape[0]
-        vals = np.zeros(n, dtype=np.float64)
-        works = np.zeros(n, dtype=np.float64)
-        depths = np.zeros(n, dtype=np.float64)
-        live = (us != vs) & self._ancestor_mask(us, vs)
-        li = np.flatnonzero(live)
-        if li.shape[0]:
-            ce, wc, dc = self.cost_many(us[li])
-            dv, dw, dd = self.down_cost_many(vs[li], us[li])
-            vals[li] = (ce < 2.0 * dv).astype(np.float64)
-            works[li] = wc + dw
-            depths[li] = dc + dd
         return vals, works, depths
 
     # ------------------------------------------------------------------

@@ -177,22 +177,16 @@ def resilient_minimum_cut(
         skeleton=skeleton_params,
         hierarchy=hierarchy_params,
     )
-    if trace and not obs.tracing_active():
-        if ledger is NULL_LEDGER:
-            ledger = Ledger()
-        tracer = obs.Tracer(ledger=ledger)
-        with tracer.activate():
-            res = _resilient_impl(
-                graph, params, deadline, max_work, max_attempts, seed,
-                spot_check_max_n, checkpoint, resume, ledger, clock,
-            )
-        report = tracer.report(
-            algorithm="resilient_minimum_cut", n=graph.n, m=graph.m
-        )
-        return dataclasses.replace(res, report=report)
-    return _resilient_impl(
-        graph, params, deadline, max_work, max_attempts, seed,
-        spot_check_max_n, checkpoint, resume, ledger, clock,
+    return obs.traced(
+        lambda led: _resilient_impl(
+            graph, params, deadline, max_work, max_attempts, seed,
+            spot_check_max_n, checkpoint, resume, led, clock,
+        ),
+        ledger,
+        trace,
+        algorithm="resilient_minimum_cut",
+        n=graph.n,
+        m=graph.m,
     )
 
 

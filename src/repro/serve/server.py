@@ -154,6 +154,8 @@ class CutService:
         if config.workers < 1:
             # with no dispatch worker an admitted query is never answered
             raise InvalidParameterError("serve workers must be >= 1")
+        if not 0 <= config.port <= 65535:
+            raise InvalidParameterError("serve port must be in 0..65535")
         self.queue = AdmissionQueue(config.queue_depth, clock=clock)
         self._workers: List[asyncio.Task] = []
         self._stopping = False
@@ -630,7 +632,13 @@ class ThreadedTCPServer:
             target=self._loop.run_forever, name="serve-loop", daemon=True
         )
         self._thread.start()
-        self._call(self._start(), 10)
+        try:
+            self._call(self._start(), 10)
+        except BaseException:
+            # e.g. the port is taken: stop the workers, the loop and its
+            # thread, so a failed start leaves nothing running
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:

@@ -1,12 +1,8 @@
-"""Rooted-tree machinery: binarization, path decompositions, Root-paths,
-centroid decomposition and the interest-path search."""
+"""Rooted-tree machinery: binarization, path decompositions, Root-paths
+and centroid decomposition."""
 
 from repro.trees.binary import BinarizedTree, binarize_parent
-from repro.trees.centroid import (
-    CentroidDecomposition,
-    centroid_decomposition,
-    deepest_on_interest_path,
-)
+from repro.trees.centroid import CentroidDecomposition, centroid_decomposition
 from repro.trees.paths import (
     PathDecomposition,
     bough_decomposition,
@@ -25,5 +21,4 @@ __all__ = [
     "RootPaths",
     "CentroidDecomposition",
     "centroid_decomposition",
-    "deepest_on_interest_path",
 ]

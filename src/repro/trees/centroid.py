@@ -1,5 +1,4 @@
-"""Centroid decomposition and the interest-path search (Lemma 4.12,
-Claim 4.13).
+"""Centroid decomposition (Lemma 4.12).
 
 The decomposition recursively removes a *centroid* (a vertex whose
 removal leaves components of size <= |T|/2), producing a centroid tree
@@ -7,29 +6,17 @@ of depth O(log n).  :func:`centroid_decomposition` builds it level by
 level with numpy passes, for one tree or a lockstep group's trees at
 once; it finds exactly the centroids of the sequential seed walk (kept
 as the test oracle in ``tests/reference_tworespect.py``).  The
-2-respecting algorithm uses it to locate, for
-every tree edge e, the terminal nodes c_e / d_e of e's cross- and
-down-interest paths (Claim 4.8) with O(log n) *oracle probes* per edge.
-
-The search is phrased generically in :func:`deepest_on_interest_path`:
-given the top vertex of a root-ward-anchored descending path P and a
-membership oracle ``member(x)`` ("is the edge (x, p(x)) on P?" —
-well-defined by Claim 4.8's contiguity), find P's deepest node.  The
-case analysis at each centroid c relies only on P being a descending
-path starting at ``top``:
-
-* ``member(c)`` true  -> the answer is c or in the subtree of the unique
-  member child (probe the <=2 children — the tree is binarized);
-* ``member(c)`` false -> the answer avoids T_c entirely when c is below
-  top, so move toward ``top``: into the child component containing top
-  when c is a proper ancestor of top, else into the parent-side
-  component.
+2-respecting algorithm walks it to locate, for every tree edge e, the
+terminal nodes c_e / d_e of e's cross- and down-interest paths (Claims
+4.8 and 4.13) with O(log n) *oracle probes* per edge
+(:mod:`repro.kernels.terminals`; the per-edge search it must match,
+``deepest_on_interest_path``, lives in ``tests/reference_tworespect.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +25,7 @@ from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree
 
-__all__ = ["CentroidDecomposition", "centroid_decomposition", "deepest_on_interest_path"]
+__all__ = ["CentroidDecomposition", "centroid_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -211,74 +198,3 @@ def _forest_centroids(
     found = roots >= 0
     roots[found] -= offsets[:-1][found]
     return cent_parent, cent_depth, roots
-
-
-def deepest_on_interest_path(
-    tree: RootedTree,
-    cd: CentroidDecomposition,
-    top: int,
-    member: Callable[[int], bool],
-    ledger: Ledger = NULL_LEDGER,
-) -> int:
-    """Deepest node of the descending path P anchored at ``top``.
-
-    ``member(x)`` answers "is x on P" for any vertex x (by Claim 4.8
-    membership is intrinsic: x is on P iff e is interested in the edge
-    (x, p(x)); ``member(top)`` must be True).  Returns the deepest node
-    of P.  Probes O(log n) membership queries (charged by the member
-    callback itself); navigation uses centroid-parent walks, charged
-    O(log n) work per level.
-    """
-    c = cd.cent_root
-    levels = 0
-    while True:
-        levels += 1
-        if levels > cd.height + 2:  # pragma: no cover - safety net
-            raise GraphFormatError("centroid search failed to converge")
-        if c == top or (tree.is_ancestor(top, c) and member(c)):
-            # c is on P; does P continue into a child of c?
-            nxt = -1
-            for ch in _tree_children(tree, c):
-                # a continuation child must be inside c's current
-                # centroid component; if it is not, P cannot continue
-                # there while the answer stays in the component.
-                if member(ch):
-                    nxt = ch
-                    break
-            if nxt < 0:
-                return c
-            c = cd.child_component_toward(c, nxt)
-            ledger.charge(work=float(log2ceil(max(tree.n, 2)) + 1), depth=1.0)
-            continue
-        # c is not on P: move toward `top`
-        if tree.is_ancestor(c, top) and c != top:
-            # proper ancestor: descend toward the child holding `top`
-            step = _tree_child_toward(tree, c, top)
-            c = cd.child_component_toward(c, step)
-        else:
-            # c below or unrelated to top: the answer avoids T_c; go to
-            # the parent-side component
-            p = int(tree.parent[c])
-            if p < 0:  # pragma: no cover - c can only be the root if top is too
-                return top
-            c = cd.child_component_toward(c, p)
-        ledger.charge(work=float(log2ceil(max(tree.n, 2)) + 1), depth=1.0)
-
-
-_children_cache_key = "_repro_children_cache"
-
-
-def _tree_children(tree: RootedTree, x: int) -> List[int]:
-    cache = getattr(tree, _children_cache_key, None)
-    if cache is None:
-        cache = tree.children_lists()
-        object.__setattr__(tree, _children_cache_key, cache)
-    return cache[x]
-
-
-def _tree_child_toward(tree: RootedTree, anc: int, target: int) -> int:
-    """The child of ``anc`` whose subtree contains ``target``."""
-    for ch in _tree_children(tree, anc):
-        if tree.is_ancestor(ch, target):
-            return ch
-    raise GraphFormatError("target not under ancestor")

@@ -1,10 +1,10 @@
 """Parallel minimum 2-respecting cut (Section 4.1, Theorem 4.2)."""
 
+from repro.kernels.terminals import find_interest_terminals
 from repro.tworespect.algorithm import two_respecting_min_cut
 from repro.tworespect.bruteforce import brute_force_two_respecting
 from repro.tworespect.path_pairs import (
     collect_interest_tuples,
-    find_interest_terminals,
     group_interested_pairs,
     path_pair_minimum,
 )

@@ -36,6 +36,7 @@ import numpy as np
 from repro import obs
 from repro.errors import GraphFormatError
 from repro.graphs.graph import Graph
+from repro.kernels.terminals import find_interest_terminals
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.resilience.budget import checkpoint as _checkpoint
 from repro.primitives.euler import postorder
@@ -47,7 +48,6 @@ from repro.trees.paths import bough_decomposition, heavy_path_decomposition
 from repro.trees.rootpaths import RootPaths
 from repro.tworespect.path_pairs import (
     collect_interest_tuples,
-    find_interest_terminals,
     group_interested_pairs,
     path_pair_minimum,
 )

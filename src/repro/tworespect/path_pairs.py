@@ -4,7 +4,8 @@ Pipeline (Claims 4.13, 4.15, Lemmas 4.16, 4.17):
 
 1. For every tree edge e, locate the terminals c_e (cross-interest) and
    d_e (down-interest) of its interest paths with the centroid-guided
-   search (O(log n) oracle probes per edge — Claim 4.13).
+   search of :mod:`repro.kernels.terminals` (O(log n) oracle probes per
+   edge — Claim 4.13).
 2. Emit *interest tuples* (p, q, e): q ranges over ``Root-paths(c_e)``
    and ``Root-paths(d_e)`` (Claim 4.15).  Note that Root-paths(d_e)
    automatically includes every path on the root -> e route, which is
@@ -31,22 +32,19 @@ never correctness.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels.monge import SmawkInstance, run_smawk_group
-from repro.kernels.terminals import find_interest_terminals_batched
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree
 from repro.rangesearch.cutqueries import CutOracle
-from repro.trees.centroid import CentroidDecomposition
 from repro.trees.paths import PathDecomposition
 from repro.trees.rootpaths import RootPaths
 
 __all__ = [
-    "find_interest_terminals",
     "collect_interest_tuples",
     "group_interested_pairs",
     "path_pair_minimum",
@@ -54,25 +52,6 @@ __all__ = [
 
 _Pairs = Dict[Tuple[int, int], Tuple[List[int], List[int]]]
 _Best = Tuple[float, int, int]
-
-
-def find_interest_terminals(
-    oracles: Sequence[CutOracle],
-    cds: Sequence[CentroidDecomposition],
-    ledgers: Sequence[Ledger],
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per tree, per tree edge e (indexed by child endpoint), the nodes
-    c_e and d_e delimiting e's cross- and down-interest paths (Claim
-    4.13), found by the batched centroid-guided search of
-    :mod:`repro.kernels.terminals`.
-
-    Searches every tree of a lockstep group at once: ``oracles[i]``
-    (all over one stacked range tree, see
-    :func:`~repro.rangesearch.cutqueries.stack_oracle_points`) and
-    ``cds[i]`` describe tree i, whose charges go to ``ledgers[i]``; one
-    tree is a group of one.  Needs prefilled cost caches for exact
-    charges (``prefill_costs``)."""
-    return find_interest_terminals_batched(oracles, cds, ledgers)
 
 
 def collect_interest_tuples(
@@ -131,28 +110,23 @@ def group_interested_pairs(
 
 
 def path_pair_minimum(
-    oracle: Union[CutOracle, Sequence[CutOracle]],
-    decomposition: Union[PathDecomposition, Sequence[PathDecomposition]],
-    pairs: Union[_Pairs, Sequence[_Pairs]],
-    ledger: Union[Ledger, Sequence[Ledger]] = NULL_LEDGER,
-) -> Union[_Best, List[_Best]]:
-    """Lemma 4.17: minimum cut(e, f) over all mutual path pairs.
+    oracles: Sequence[CutOracle],
+    decompositions: Sequence[PathDecomposition],
+    pairs: Sequence[_Pairs],
+    ledgers: Sequence[Ledger],
+) -> List[_Best]:
+    """Lemma 4.17: per tree of a lockstep group, the minimum cut(e, f)
+    over all mutual path pairs.
 
-    Each pair's (r, s) lists are ordered shallow -> deep and split into
-    nested / cross blocks; SMAWK runs per block.  Given sequences (tree
-    i of a lockstep group is ``oracle[i]``, ``decomposition[i]`` and
-    ``pairs[i]``, charging ``ledger[i]``), every block of every tree is
-    one instance of one :func:`~repro.kernels.monge.run_smawk_group`
-    run, and the list of the trees' minima is returned.
+    Tree i is ``oracles[i]``, ``decompositions[i]`` and ``pairs[i]``,
+    charging ``ledgers[i]``.  Each pair's (r, s) lists are ordered
+    shallow -> deep and split into nested / cross blocks; every block of
+    every tree is one SMAWK instance of one
+    :func:`~repro.kernels.monge.run_smawk_group` run.
     """
-    if isinstance(oracle, CutOracle):
-        return path_pair_minimum(  # type: ignore[return-value]
-            [oracle], [decomposition], [pairs], [ledger]  # type: ignore[list-item]
-        )[0]
-    oracles = list(oracle)
     plans: List[List[List[Tuple[int, SmawkInstance]]]] = []
     instances: List[SmawkInstance] = []
-    for t, (o, dec, prs) in enumerate(zip(oracles, decomposition, pairs)):  # type: ignore[arg-type]
+    for t, (o, dec, prs) in enumerate(zip(oracles, decompositions, pairs)):
         plan = []
         for (p, q), (r, s) in prs.items():
             blocks = []
@@ -164,7 +138,7 @@ def path_pair_minimum(
         plans.append(plan)
     run_smawk_group(oracles, instances)
     bests: List[_Best] = []
-    for o, led, plan in zip(oracles, ledger, plans):  # type: ignore[arg-type]
+    for o, led, plan in zip(oracles, ledgers, plans):
         best: _Best = (float("inf"), -1, -1)
         with led.parallel() as par:
             for blocks in plan:

@@ -2,9 +2,9 @@
 
 For every path p of the decomposition (a descending chain of tree
 edges), the matrix ``M_p[i][j] = cut(e_i, e_j)`` on i < j is partial
-inverse-Monge; the reference :func:`repro.monge.partial.triangle_minimum`
-finds its minimum with O(ell log ell) oracle queries, one SMAWK call per
-divide-and-conquer block.  Paths are processed in logically-parallel
+inverse-Monge; the per-entry ``triangle_minimum`` of
+``tests/reference_monge.py`` finds its minimum with O(ell log ell)
+oracle queries, one SMAWK call per divide-and-conquer block.  Paths are processed in logically-parallel
 branches (Lemma 4.6: the per-path work telescopes because paths are
 edge-disjoint; depth is the max over paths).
 
@@ -19,11 +19,11 @@ path's summed work — and folds its minimum in the reference order.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from repro.kernels.monge import SmawkInstance, run_smawk_group, triangle_instances
 from repro.pram.combinators import log2ceil
-from repro.pram.ledger import Ledger, NULL_LEDGER
+from repro.pram.ledger import Ledger
 from repro.rangesearch.cutqueries import CutOracle
 from repro.trees.paths import PathDecomposition
 
@@ -33,24 +33,22 @@ _Best = Tuple[float, int, int]
 
 
 def single_path_minimum(
-    oracle: Union[CutOracle, Sequence[CutOracle]],
-    decomposition: Union[PathDecomposition, Sequence[PathDecomposition]],
-    ledger: Union[Ledger, Sequence[Ledger]] = NULL_LEDGER,
-) -> Union[_Best, List[_Best]]:
-    """Minimum cut(e, f) over pairs of distinct edges on a common path.
+    oracles: Sequence[CutOracle],
+    decompositions: Sequence[PathDecomposition],
+    ledgers: Sequence[Ledger],
+) -> List[_Best]:
+    """Per tree of a lockstep group, the minimum cut(e, f) over pairs of
+    distinct edges on a common path.
 
-    Returns ``(value, u, v)`` (child endpoints), or ``(inf, -1, -1)``
-    when no path has two edges.  Given sequences — tree i of a lockstep
-    group is ``oracle[i]`` (all over one stacked range tree, with
-    prefilled cost caches) and ``decomposition[i]``, charging
-    ``ledger[i]`` — returns the list of the trees' minima.
+    Tree i is ``oracles[i]`` (all over one stacked range tree, with
+    prefilled cost caches) and ``decompositions[i]``, charging
+    ``ledgers[i]``; one tree is a group of one.  Each minimum is
+    ``(value, u, v)`` (child endpoints), or ``(inf, -1, -1)`` when no
+    path has two edges.
     """
-    if isinstance(oracle, CutOracle):
-        return single_path_minimum([oracle], [decomposition], [ledger])[0]  # type: ignore[list-item]
-    oracles = list(oracle)
     plans: List[List[Tuple[int, List[SmawkInstance]]]] = []
     instances: List[SmawkInstance] = []
-    for t, dec in enumerate(decomposition):  # type: ignore[arg-type]
+    for t, dec in enumerate(decompositions):
         plan = []
         for arr in dec.paths:
             if arr.shape[0] < 2:
@@ -61,7 +59,7 @@ def single_path_minimum(
         plans.append(plan)
     run_smawk_group(oracles, instances)
     bests: List[_Best] = []
-    for o, led, plan in zip(oracles, ledger, plans):  # type: ignore[arg-type]
+    for o, led, plan in zip(oracles, ledgers, plans):
         best: _Best = (float("inf"), -1, -1)
         with led.parallel() as par:
             for ell, blocks in plan:

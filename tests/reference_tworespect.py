@@ -5,37 +5,38 @@ module keeps the per-entry formulation they must match bit for bit —
 answers, stats counters and every ledger charge:
 
 * :class:`ReferenceCutOracle` — :class:`CutOracle` over the per-entry
-  :class:`RangeTree2D` (Python node objects, one scalar query per
-  rectangle);
+  :class:`RangeTree2D` of ``tests/reference_rangetree.py`` (Python node
+  objects, one scalar query per rectangle);
 * :func:`reference_centroid_decomposition` — the sequential
   component-walk centroid decomposition;
+* :func:`deepest_on_interest_path` — Claim 4.13's centroid-guided
+  search for one interest path;
 * :func:`reference_two_respecting_min_cut` — the driver with scalar
   loops: a per-edge one-respecting scan, entry-at-a-time SMAWK
-  (:func:`triangle_minimum` / :func:`matrix_minimum`) over ``oracle.cut``,
-  the sequential centroid decomposition and one
-  :func:`deepest_on_interest_path` search per edge and predicate.
+  (:func:`triangle_minimum` / :func:`matrix_minimum` of
+  ``tests/reference_monge.py``) over ``oracle.cut``, the sequential
+  centroid decomposition and one :func:`deepest_on_interest_path`
+  search per edge and predicate.
 
 ``tests/test_kernels_parity.py`` compares the library against it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.errors import GraphFormatError
 from repro.graphs.graph import Graph
-from repro.monge.partial import triangle_minimum
-from repro.monge.smawk import matrix_minimum
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree, postorder
 from repro.rangesearch.cutqueries import CutOracle
-from repro.rangesearch.tree2d import RangeTree2D
 from repro.results import CutResult
 from repro.trees.binary import binarize_parent
-from repro.trees.centroid import CentroidDecomposition, deepest_on_interest_path
+from repro.trees.centroid import CentroidDecomposition
 from repro.trees.paths import (
     PathDecomposition,
     bough_decomposition,
@@ -44,24 +45,15 @@ from repro.trees.paths import (
 from repro.trees.rootpaths import RootPaths
 from repro.tworespect.path_pairs import collect_interest_tuples, group_interested_pairs
 
+from tests.reference_monge import matrix_minimum, triangle_minimum
+from tests.reference_rangetree import RangeTree2D
+
 __all__ = [
     "ReferenceCutOracle",
     "reference_centroid_decomposition",
+    "deepest_on_interest_path",
     "reference_two_respecting_min_cut",
 ]
-
-
-class _OneSetRangeTree2D(RangeTree2D):
-    """:class:`RangeTree2D` answering :class:`CutOracle`'s scalar calls,
-    which name their point set (always set 0 here)."""
-
-    def query(self, x1, x2, y1, y2, ledger: Ledger = NULL_LEDGER, tree: int = 0) -> float:
-        assert tree == 0
-        return super().query(x1, x2, y1, y2, ledger=ledger)
-
-    def tree_nodes_visited(self, tree: int) -> int:
-        assert tree == 0
-        return self.total_nodes_visited
 
 
 class ReferenceCutOracle(CutOracle):
@@ -83,7 +75,7 @@ class ReferenceCutOracle(CutOracle):
         self.tree = tree
         px = tree.post[graph.u]
         py = tree.post[graph.v]
-        self.points = _OneSetRangeTree2D(
+        self.points = RangeTree2D(
             np.concatenate([px, py]),
             np.concatenate([py, px]),
             np.concatenate([graph.w, graph.w]),
@@ -232,6 +224,88 @@ def _find_centroid(
         if heavy_size * 2 <= comp_size:
             return x
         x = heavy
+
+
+def deepest_on_interest_path(
+    tree: RootedTree,
+    cd: CentroidDecomposition,
+    top: int,
+    member: Callable[[int], bool],
+    ledger: Ledger = NULL_LEDGER,
+) -> int:
+    """Deepest node of the descending path P anchored at ``top``.
+
+    ``member(x)`` answers "is x on P" for any vertex x (by Claim 4.8
+    membership is intrinsic: x is on P iff e is interested in the edge
+    (x, p(x)); ``member(top)`` must be True).  Returns the deepest node
+    of P.  Probes O(log n) membership queries (charged by the member
+    callback itself); navigation uses centroid-parent walks, charged
+    O(log n) work per level.
+
+    The case analysis at each centroid c relies only on P being a
+    descending path starting at ``top``:
+
+    * ``member(c)`` true  -> the answer is c or in the subtree of the
+      unique member child (probe the <=2 children — the tree is
+      binarized);
+    * ``member(c)`` false -> the answer avoids T_c entirely when c is
+      below top, so move toward ``top``: into the child component
+      containing top when c is a proper ancestor of top, else into the
+      parent-side component.
+    """
+    c = cd.cent_root
+    levels = 0
+    while True:
+        levels += 1
+        if levels > cd.height + 2:  # pragma: no cover - safety net
+            raise GraphFormatError("centroid search failed to converge")
+        if c == top or (tree.is_ancestor(top, c) and member(c)):
+            # c is on P; does P continue into a child of c?
+            nxt = -1
+            for ch in _tree_children(tree, c):
+                # a continuation child must be inside c's current
+                # centroid component; if it is not, P cannot continue
+                # there while the answer stays in the component.
+                if member(ch):
+                    nxt = ch
+                    break
+            if nxt < 0:
+                return c
+            c = cd.child_component_toward(c, nxt)
+            ledger.charge(work=float(log2ceil(max(tree.n, 2)) + 1), depth=1.0)
+            continue
+        # c is not on P: move toward `top`
+        if tree.is_ancestor(c, top) and c != top:
+            # proper ancestor: descend toward the child holding `top`
+            step = _tree_child_toward(tree, c, top)
+            c = cd.child_component_toward(c, step)
+        else:
+            # c below or unrelated to top: the answer avoids T_c; go to
+            # the parent-side component
+            p = int(tree.parent[c])
+            if p < 0:  # pragma: no cover - c can only be the root if top is too
+                return top
+            c = cd.child_component_toward(c, p)
+        ledger.charge(work=float(log2ceil(max(tree.n, 2)) + 1), depth=1.0)
+
+
+_children_cache_key = "_repro_children_cache"
+
+
+def _tree_children(tree: RootedTree, x: int) -> List[int]:
+    cache = getattr(tree, _children_cache_key, None)
+    if cache is None:
+        cache = tree.children_lists()
+        object.__setattr__(tree, _children_cache_key, cache)
+    return cache[x]
+
+
+def _tree_child_toward(tree: RootedTree, anc: int, target: int) -> int:
+    """The child of ``anc`` whose subtree contains ``target``."""
+    for ch in _tree_children(tree, anc):
+        if tree.is_ancestor(ch, target):
+            return ch
+    raise GraphFormatError("target not under ancestor")
 
 
 def _single_path_minimum(

@@ -237,3 +237,54 @@ class TestEngineMigrationIdentity:
             w[rep.crossing_edges] *= 2.0
         values = [r.cut_value for r in reports]
         assert values == sorted(values)
+
+
+class TestEvolvingApps:
+    """``monitor`` and ``evolving_clusters`` over mutation batches."""
+
+    def test_monitor_events_match_cold_cuts(self):
+        from repro.apps import monitor
+        from repro.core.mincut import minimum_cut
+
+        g = random_connected_graph(24, 80, rng=5, max_weight=6)
+        batches = [
+            {"add_edges": [(0, 13, 2.0), (4, 21, 1.0)]},
+            {"remove_edges": [3, 17]},
+            {"reweight": {0: 9.0, 5: 1.0}},
+        ]
+        events = monitor(g, batches, rng=np.random.default_rng(2))
+        assert [ev.step for ev in events] == [0, 1, 2, 3]
+        assert events[0].verified is None
+        assert events[0].report.cut_value == minimum_cut(
+            g, rng=np.random.default_rng(0)
+        ).value
+        for ev in events[1:]:
+            assert ev.verified is True
+            cold = minimum_cut(ev.graph, rng=np.random.default_rng(0))
+            assert ev.report.cut_value == cold.value
+
+    def test_evolving_clusters_step0_is_a_plain_clustering(self):
+        from repro.apps import evolving_clusters
+
+        g = community_graph((10, 10, 10), rng=1)
+        steps = evolving_clusters(g, [], seed=4)
+        assert len(steps) == 1 and steps[0].step == 0 and steps[0].drift == 0.0
+        want = min_cut_clusters(g, rng=np.random.default_rng(4))
+        assert len(steps[0].clusters) == len(want)
+        for a, b in zip(steps[0].clusters, want):
+            assert np.array_equal(a, b)
+
+    def test_restated_weight_replays_cached_artifacts(self):
+        from repro.apps import evolving_clusters
+        from repro.obs import CounterRegistry, counting_scope
+
+        g = community_graph((10, 10, 10), rng=1)
+        reg = CounterRegistry()
+        with counting_scope(reg):
+            steps = evolving_clusters(g, [{"reweight": {0: float(g.w[0])}}], seed=0)
+        assert [s.step for s in steps] == [0, 1]
+        assert steps[1].drift == 0.0
+        assert len(steps[1].clusters) == len(steps[0].clusters)
+        for a, b in zip(steps[1].clusters, steps[0].clusters):
+            assert np.array_equal(a, b)
+        assert reg.get("engine.cache_hits") > 0

@@ -184,8 +184,9 @@ class TestServeCommand:
             ["--workers", "0"],
             ["--snapshot-interval", "0"],
             ["--snapshot-retention", "0"],
+            ["--port", "70000"],
         ],
-        ids=["workers", "snapshot-interval", "snapshot-retention"],
+        ids=["workers", "snapshot-interval", "snapshot-retention", "port"],
     )
     def test_serve_bad_setting_exits_2_with_one_line(self, flags, tmp_path):
         # refused before the daemon binds: exit 2, one `error:` line, no

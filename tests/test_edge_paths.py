@@ -6,12 +6,13 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graphs import Graph, planted_cut_graph, random_connected_graph
 from repro.graphs.validate import brute_force_min_cut, side_from_vertices, validate_cut
-from repro.monge import triangle_minimum
 from repro.pram import Ledger, parallel_map
-from repro.rangesearch import CutOracle, RangeTree1D
+from repro.rangesearch import CutOracle
 from repro.sparsify import HierarchyParams
 
 from tests.conftest import make_graph, make_rooted
+from tests.reference_monge import triangle_minimum
+from tests.reference_rangetree import RangeTree1D
 
 
 class TestExecutor:

@@ -40,7 +40,7 @@ from repro.pram import (
     shutdown_shared_pools,
 )
 from repro.primitives import all_subtree_costs, postorder, root_tree
-from repro.rangesearch import CutOracle, RangeTree2D
+from repro.rangesearch import CutOracle
 from repro.resilience.budget import Budget, budget_scope
 from repro.resilience.faults import (
     SITE_EXECUTOR_BRANCH,
@@ -54,6 +54,7 @@ from repro.trees import binarize_parent
 from repro.tworespect.algorithm import two_respecting_min_cut
 
 from tests.conftest import make_graph, make_rooted
+from tests.reference_rangetree import RangeTree2D
 from tests.reference_tworespect import (
     ReferenceCutOracle,
     reference_two_respecting_min_cut,

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from repro.errors import MongeViolation
-from repro.monge import (
+from repro.pram import Ledger
+from repro.rangesearch import CutOracle
+from repro.trees import heavy_path_decomposition
+
+from tests.conftest import make_graph, make_rooted
+from tests.reference_monge import (
     check_inverse_monge,
     check_monge,
     materialize,
@@ -13,11 +18,6 @@ from repro.monge import (
     smawk_row_minima,
     triangle_minimum,
 )
-from repro.pram import Ledger
-from repro.rangesearch import CutOracle
-from repro.trees import heavy_path_decomposition
-
-from tests.conftest import make_graph, make_rooted
 
 
 def random_monge(nr, nc, rng, integer=False):

@@ -6,12 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph
-from repro.monge import check_monge, smawk_row_minima, triangle_minimum
 from repro.pram import Ledger, preduce, pscan_exclusive
 from repro.primitives import minimum_spanning_forest, postorder, root_tree, spanning_forest
-from repro.rangesearch import CutOracle, NaiveCutOracle, RangeTree1D, RangeTree2D
+from repro.rangesearch import CutOracle, NaiveCutOracle
 from repro.trees import binarize_parent
 from repro.tworespect import brute_force_two_respecting, two_respecting_min_cut
+
+from tests.reference_monge import check_monge, smawk_row_minima, triangle_minimum
+from tests.reference_rangetree import RangeTree1D, RangeTree2D
 
 SETTINGS = dict(
     deadline=None,

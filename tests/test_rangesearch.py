@@ -6,10 +6,11 @@ import pytest
 from repro.graphs import random_connected_graph
 from repro.pram import Ledger
 from repro.primitives import postorder, root_tree, spanning_forest_graph
-from repro.rangesearch import CutOracle, NaiveCutOracle, RangeTree1D, RangeTree2D
+from repro.rangesearch import CutOracle, NaiveCutOracle
 from repro.trees import binarize_parent
 
 from tests.conftest import make_graph, make_rooted
+from tests.reference_rangetree import RangeTree1D, RangeTree2D
 
 
 class TestRangeTree1D:

@@ -535,6 +535,22 @@ class TestAdmissionControl:
         with pytest.raises(InvalidParameterError, match="workers"):
             ThreadedTCPServer(ServerConfig(workers=0))
 
+    def test_failed_bind_leaves_nothing_running(self):
+        def loops():
+            return {t for t in threading.enumerate() if t.name == "serve-loop"}
+
+        before = loops()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            srv = ThreadedTCPServer(
+                ServerConfig(port=taken.getsockname()[1], workers=2)
+            )
+            with pytest.raises(OSError):
+                srv.start()
+        assert loops() == before
+        assert srv.service._workers == []
+
     def test_queue_full_returns_retry_after(self, graph, edges):
         cfg = ServerConfig(queue_depth=1, workers=1, debug_ops=True)
         with ThreadedTCPServer(cfg) as srv:

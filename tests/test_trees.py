@@ -15,12 +15,12 @@ from repro.trees import (
     binarize_parent,
     bough_decomposition,
     centroid_decomposition,
-    deepest_on_interest_path,
     heavy_path_decomposition,
     max_paths_on_root_leaf_route,
 )
 
 from tests.conftest import make_graph
+from tests.reference_tworespect import deepest_on_interest_path
 
 
 def random_parent(n, seed, root=0):
