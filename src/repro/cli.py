@@ -290,7 +290,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot_interval=args.snapshot_interval,
         snapshot_retention=args.snapshot_retention,
     )
-    run_tcp(config)
+    try:
+        run_tcp(config)
+    except OSError as exc:
+        # the listener could not bind (port taken, host unknown): one
+        # line, like a refused setting
+        print(f"error: OSError: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_REPRO_ERROR
     return 0
 
 

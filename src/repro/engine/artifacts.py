@@ -92,11 +92,14 @@ class ValidationArtifact:
 @dataclass(frozen=True)
 class ApproxArtifact:
     """Output of the ``approximate`` stage: the Theorem 3.1 estimate
-    (already floored away from zero) plus the post-stage rng state."""
+    (already floored away from zero) plus the post-stage rng state.
+    ``skipped`` marks an estimate that is the minimum weighted degree
+    (:func:`repro.engine.stages.approximate_stage`)."""
 
     fingerprint: str
     approx_value: float
     rng_state: Optional[dict] = None
+    skipped: bool = False
 
     @property
     def lambda_underestimate(self) -> float:

@@ -218,8 +218,14 @@ class CutEngine:
         self._state0 = self._rng.bit_generator.state
         gfp = graph_fingerprint(graph)
         self._fp_validate = gfp
+        # the stage's skip rule reads the skeleton's sampling constant
         self._fp_approx = combine_fingerprint(
-            "approximate", gfp, self._state0, self.params.hierarchy, self._approx_value
+            "approximate",
+            gfp,
+            self._state0,
+            self.params.hierarchy,
+            self._approx_value,
+            self.params.skeleton.sample_constant,
         )
         self._fp_forest = combine_fingerprint(
             "forest",
@@ -323,11 +329,11 @@ class CutEngine:
                 art = ApproxArtifact(self._fp_approx, self._approx_value, self._state0)
             else:
                 self._rng.bit_generator.state = self._state0
-                value = approximate_stage(
+                value, skipped = approximate_stage(
                     self._base_graph, self.params, self._rng, ledger
                 )
                 art = ApproxArtifact(
-                    self._fp_approx, value, self._rng.bit_generator.state
+                    self._fp_approx, value, self._rng.bit_generator.state, skipped
                 )
             self.cache.put("approximate", self._fp_approx, art)
         if art.rng_state is not None:
@@ -472,7 +478,11 @@ class CutEngine:
                 on_tree=lambda done, so_far: self.cache.put("result", fp, (done, so_far)),
             )
             res = assemble_result(
-                best, dict(index.packing_stats), approx.lambda_underestimate, branching
+                best,
+                dict(index.packing_stats),
+                approx.lambda_underestimate,
+                branching,
+                approx.skipped,
             )
         if mutated:
             res = dataclasses.replace(
@@ -555,6 +565,7 @@ class CutEngine:
                 forest.packing_stats(num_trees),
                 approx.lambda_underestimate,
                 branching,
+                approx.skipped,
             )
             for best, num_trees, _ in outcomes
         ]

@@ -4,7 +4,8 @@
 
 * :func:`validate_stage` — trivial/degenerate inputs (and the one place
   disconnected graphs short-circuit);
-* :func:`approximate_stage` — the Theorem 3.1 O(1)-approximation;
+* :func:`approximate_stage` — the Theorem 3.1 O(1)-approximation, or the
+  minimum weighted degree when the skeleton is sampled at p = 1 anyway;
 * the sparsify/pack/index trio lives in :mod:`repro.packing.karger`
   (:func:`~repro.packing.karger.build_cut_skeleton`,
   :func:`~repro.packing.karger.pack_skeleton`,
@@ -23,7 +24,7 @@ chains them straight through as the test oracle.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from repro.graphs.validate import ensure_finite_weights
 # too (ROADMAP open item 1 retires that name-patch table)
 from repro.packing.karger import build_cut_skeleton, pack_skeleton, select_trees  # noqa: F401
 from repro.params import CutPipelineParams
+from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, LedgerTape
 from repro.resilience.budget import checkpoint as _checkpoint
 from repro.results import CutResult
@@ -104,15 +106,35 @@ def approximate_stage(
     params: CutPipelineParams,
     rng: np.random.Generator,
     ledger: Ledger,
-) -> float:
+) -> Tuple[float, bool]:
     """The Section 3 stage: an O(1)-approximation of the min cut value,
-    floored away from zero so the packing underestimate stays positive."""
+    floored away from zero so the packing underestimate stays positive,
+    and whether the stage was skipped.
+
+    Section 4 reads the estimate only through the skeleton's sampling
+    probability ``p = min(1, sample_constant * ln n / (estimate / 2))``.
+    When the minimum weighted degree delta makes that p = 1 for any
+    estimate <= delta, and delta lies below the separation window (so
+    Section 3's own estimate is at most delta), the stage returns delta
+    itself: one reduction instead of the hierarchy, the certificates and
+    the layer solves (DESIGN.md section 5).
+    """
     from repro.approx.approximate import approximate_minimum_cut
 
     hier = params.hierarchy if params.hierarchy is not None else HierarchyParams()
     with obs.phase("approximate", ledger):
+        delta = float(graph.weighted_degrees.min())
+        ledger.charge(work=float(graph.m), depth=float(log2ceil(graph.n)))
+        full_p = delta <= 2.0 * params.skeleton.expected_skeleton_cut(graph.n)
+        # Section 3 applies its window in integer units (real weights
+        # scaled up), so the window test reads delta in those units
+        if full_p and (
+            graph.integerized()[0].weighted_degrees.min() < hier.window(graph.n)[0]
+        ):
+            obs.counters().add("approx.skipped")
+            return max(delta, 1e-12), True
         approx = approximate_minimum_cut(graph, params=hier, rng=rng, ledger=ledger)
-    return max(approx.estimate, 1e-12)
+    return max(approx.estimate, 1e-12), False
 
 
 #: Trees whose 2-respecting searches :func:`search_stage` runs in
@@ -177,6 +199,7 @@ def assemble_result(
     packing_stats: dict,
     lambda_under: float,
     branching: int,
+    approx_skipped: bool,
 ) -> CutResult:
     """Fold the packing statistics and pipeline constants into the best
     candidate's stats (and bump the ``mincut.*`` counters)."""
@@ -189,6 +212,7 @@ def assemble_result(
         {
             "lambda_underestimate": float(lambda_under),
             "branching": float(branching),
+            "approx_skipped": float(approx_skipped),
         }
     )
     return CutResult(

@@ -66,8 +66,9 @@ __all__ = ["find_interest_terminals"]
 def _component_child_toward(
     cent_parent: np.ndarray, c: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``cd.child_component_toward(c[i], y[i])``: walk each
-    ``y`` up the centroid tree until its parent is ``c``."""
+    """For each i, the centroid-tree child of ``c[i]`` whose component
+    contains ``y[i]``: walk each ``y`` up the centroid tree until its
+    parent is ``c``."""
     x = y.copy()
     while True:
         p = cent_parent[x]

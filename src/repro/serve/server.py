@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -659,9 +660,17 @@ class ThreadedTCPServer:
     async def _start(self) -> None:
         await self.service.start()
         cfg = self.service.config
-        self._server = await asyncio.start_server(
-            self._on_connection, host=cfg.host, port=cfg.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._on_connection, host=cfg.host, port=cfg.port
+            )
+        except OSError as exc:
+            # name the address and the OS reason (asyncio's own message
+            # omits the address when the host does not resolve)
+            reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc.strerror
+            raise OSError(
+                exc.errno, f"cannot listen on {cfg.host}:{cfg.port}: {reason or exc}"
+            ) from exc
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def _stop(self) -> None:

@@ -20,7 +20,6 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import GraphFormatError
 from repro.pram.combinators import log2ceil
 from repro.pram.ledger import Ledger, NULL_LEDGER
 from repro.primitives.euler import RootedTree
@@ -54,16 +53,6 @@ class CentroidDecomposition:
     @property
     def height(self) -> int:
         return int(self.cent_depth.max()) + 1 if self.n else 0
-
-    def child_component_toward(self, c: int, y: int) -> int:
-        """The centroid-tree child of ``c`` whose component contains
-        ``y`` (requires ``y`` to lie strictly inside c's component)."""
-        x = int(y)
-        while self.cent_parent[x] != c:
-            x = int(self.cent_parent[x])
-            if x < 0:
-                raise GraphFormatError("target vertex is not in the centroid's component")
-        return x
 
 
 def centroid_decomposition(

@@ -42,8 +42,9 @@ def reference_minimum_cut(
     early = validate_stage(graph)
     if early is not None:
         return early
+    skipped = False
     if approx_value is None:
-        approx_value = approximate_stage(graph, params, rng, ledger)
+        approx_value, skipped = approximate_stage(graph, params, rng, ledger)
     lambda_under = float(approx_value) / 2.0
     with obs.phase("packing", ledger):
         skel = build_cut_skeleton(
@@ -67,4 +68,4 @@ def reference_minimum_cut(
         "skeleton_p": float(skel.p),
         "packing_iterations": float(packing.iterations),
     }
-    return assemble_result(best, packing_stats, lambda_under, branching)
+    return assemble_result(best, packing_stats, lambda_under, branching, skipped)

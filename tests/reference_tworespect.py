@@ -271,22 +271,33 @@ def deepest_on_interest_path(
                     break
             if nxt < 0:
                 return c
-            c = cd.child_component_toward(c, nxt)
+            c = child_component_toward(cd, c, nxt)
             ledger.charge(work=float(log2ceil(max(tree.n, 2)) + 1), depth=1.0)
             continue
         # c is not on P: move toward `top`
         if tree.is_ancestor(c, top) and c != top:
             # proper ancestor: descend toward the child holding `top`
             step = _tree_child_toward(tree, c, top)
-            c = cd.child_component_toward(c, step)
+            c = child_component_toward(cd, c, step)
         else:
             # c below or unrelated to top: the answer avoids T_c; go to
             # the parent-side component
             p = int(tree.parent[c])
             if p < 0:  # pragma: no cover - c can only be the root if top is too
                 return top
-            c = cd.child_component_toward(c, p)
+            c = child_component_toward(cd, c, p)
         ledger.charge(work=float(log2ceil(max(tree.n, 2)) + 1), depth=1.0)
+
+
+def child_component_toward(cd: CentroidDecomposition, c: int, y: int) -> int:
+    """The centroid-tree child of ``c`` whose component contains ``y``
+    (requires ``y`` to lie strictly inside c's component)."""
+    x = int(y)
+    while cd.cent_parent[x] != c:
+        x = int(cd.cent_parent[x])
+        if x < 0:
+            raise GraphFormatError("target vertex is not in the centroid's component")
+    return x
 
 
 _children_cache_key = "_repro_children_cache"

@@ -211,6 +211,20 @@ class TestServeCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: InvalidParameterError:")
 
+    def test_serve_busy_port_exits_2_with_one_line(self, capsys):
+        # another listener holds the port: one `error:` line naming the
+        # address and the OS reason, exit 2, no traceback
+        import socket
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: OSError: cannot listen on 127.0.0.1:{port}:")
+
     def test_serve_daemon_round_trip(self):
         # the real entry point: spawn `python -m repro serve`, parse the
         # printed ephemeral port, ping it, shut it down over the wire

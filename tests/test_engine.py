@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.approx import approximate_minimum_cut
+from repro.arena.solvers import stoer_wagner
 from repro.engine import (
     ArtifactCache,
     CutEngine,
@@ -20,9 +22,13 @@ from repro.engine import (
     combine_fingerprint,
     graph_fingerprint,
 )
+from repro.engine.stages import approximate_stage
 from repro.errors import InvalidParameterError
 from repro.graphs import Graph, random_connected_graph
+from repro.graphs.generators import grid_graph
 from repro.obs import CounterRegistry, counting_scope
+from repro.packing.karger import build_cut_skeleton
+from repro.params import CutPipelineParams
 from repro.pram.executor import force_executor, shutdown_shared_pools
 from repro.pram.ledger import Ledger
 
@@ -528,3 +534,112 @@ class TestArtifactCacheThreadSafety:
         assert not errors, errors
         assert len(cache) <= cache.max_entries
         assert 0 <= cache.current_bytes <= cache.max_bytes
+
+
+class TestApproximateSkip:
+    """``approximate_stage`` returns the minimum weighted degree delta,
+    without running Section 3, when delta puts the skeleton at p = 1
+    for any estimate <= delta and lies below the separation window."""
+
+    @staticmethod
+    def _grid():
+        return grid_graph(14, 14, rng=13, max_weight=3)
+
+    def test_skip_returns_delta_and_draws_nothing(self):
+        g = self._grid()
+        delta = float(g.weighted_degrees.min())
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        reg, led = CounterRegistry(), Ledger()
+        with counting_scope(reg):
+            value, skipped = approximate_stage(g, CutPipelineParams(), rng, led)
+        assert (value, skipped) == (delta, True)
+        assert rng.bit_generator.state == before
+        assert reg.get("approx.skipped") == 1.0
+        assert reg.get("approx.layers_cut") == 0.0
+        # only the reduction is charged: work m, depth log2ceil(196) == 8
+        (rec,) = led.phases.values()
+        assert (rec.name, rec.work, rec.depth) == ("approximate", g.m, 8)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # the window's low edge 0.005 * 75 * log2(196) = 2.86 <= delta
+            {"hierarchy": repro.HierarchyParams(scale=0.005)},
+            # 2 * 0.2 * ln(196) = 2.11 < delta: a Section 3 estimate
+            # near delta would sample at p < 1
+            {"skeleton": repro.SkeletonParams(sample_constant=0.2)},
+        ],
+        ids=["window", "sampling"],
+    )
+    def test_either_condition_failing_runs_section_3(self, params):
+        g = self._grid()
+        assert g.weighted_degrees.min() == 3.0
+        pipeline = CutPipelineParams(**params)
+        reg = CounterRegistry()
+        with counting_scope(reg):
+            value, skipped = approximate_stage(
+                g, pipeline, np.random.default_rng(5), Ledger()
+            )
+        assert not skipped
+        assert reg.get("approx.skipped") == 0.0
+        assert reg.get("approx.layers_cut") >= 1.0
+        full = approximate_minimum_cut(
+            g,
+            params=pipeline.hierarchy or repro.HierarchyParams(),
+            rng=np.random.default_rng(5),
+        )
+        assert value == max(full.estimate, 1e-12)
+
+    def test_real_weights_compare_the_window_in_integer_units(self):
+        # Section 3 scales real weights so the lightest edge is 1000
+        # units: delta is far above the window there, so no skip
+        g = self._grid()
+        g = g.with_weights(g.w * 0.37)
+        _, skipped = approximate_stage(
+            g, CutPipelineParams(), np.random.default_rng(5), Ledger()
+        )
+        assert not skipped
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_skipped_skeleton_is_the_unskipped_one(self, seed):
+        # p = 1 on both paths: the weight-capped graph, bit for bit
+        g = self._grid()
+        value, skipped = approximate_stage(
+            g, CutPipelineParams(), np.random.default_rng(seed), Ledger()
+        )
+        assert skipped
+        full = approximate_minimum_cut(g, rng=np.random.default_rng(seed))
+        assert full.estimate <= value
+        a = build_cut_skeleton(g, value / 2.0, rng=np.random.default_rng(seed))
+        b = build_cut_skeleton(g, full.estimate / 2.0, rng=np.random.default_rng(seed))
+        assert a.p == b.p == 1.0
+        assert a.cap == b.cap
+        for col in ("u", "v", "w"):
+            x, y = getattr(a.skeleton, col), getattr(b.skeleton, col)
+            assert x.tobytes() == y.tobytes()
+
+    def test_cut_reports_the_skip(self):
+        g = self._grid()
+        reg = CounterRegistry()
+        with counting_scope(reg):
+            res = repro.minimum_cut(g, rng=np.random.default_rng(0))
+        assert res.value == stoer_wagner(g).value
+        assert res.stats["approx_skipped"] == 1.0
+        assert res.stats["lambda_underestimate"] == 1.5
+        assert reg.get("approx.skipped") == 1.0
+
+    def test_sample_constant_keys_the_approximate_artifact(self):
+        # the skip reads the sampling constant, so engines sharing a
+        # cache must not share an approximate artifact across it
+        cache = ArtifactCache()
+        g = self._grid()
+        a = CutEngine(g, seed=0, cache=cache).min_cut()
+        b = CutEngine(
+            g,
+            seed=0,
+            cache=cache,
+            skeleton_params=repro.SkeletonParams(sample_constant=0.2),
+        ).min_cut()
+        assert a.stats["approx_skipped"] == 1.0
+        assert b.stats["approx_skipped"] == 0.0

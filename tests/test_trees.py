@@ -20,7 +20,7 @@ from repro.trees import (
 )
 
 from tests.conftest import make_graph
-from tests.reference_tworespect import deepest_on_interest_path
+from tests.reference_tworespect import child_component_toward, deepest_on_interest_path
 
 
 def random_parent(n, seed, root=0):
@@ -185,7 +185,7 @@ class TestCentroid:
         for y in range(7):
             if y == c:
                 continue
-            child = cd.child_component_toward(c, y)
+            child = child_component_toward(cd, c, y)
             assert cd.cent_parent[child] == c
 
 
