@@ -6,15 +6,9 @@ iterates: find the weakest cut, upgrade its links, repeat — reporting
 how the survivable capacity climbs (the capacity-planning loop of
 ``examples/network_reliability.py`` as a tested API).
 
-Both are now backed by :class:`repro.engine.CutEngine`.
-``weakest_partition`` (and ``reinforce``'s default mode) run the engine
-one-shot — bit-identical to the historical direct
-:func:`repro.minimum_cut` calls (pinned in ``tests/test_apps.py``).
-``reinforce(requery=True)`` additionally reuses the engine's packed
-trees across rounds via :meth:`~repro.engine.CutEngine.update`: only
-the cheap 2-respecting search re-runs per round until the climbing cut
-value exhausts the packing's coverage, at which point the engine
-rebases and re-packs.
+Both run :class:`repro.engine.CutEngine` one-shot per graph —
+bit-identical to the direct :func:`repro.minimum_cut` calls (pinned in
+``tests/test_apps.py``).
 
 ``monitor`` is the evolving-graph entry point: it feeds a stream of
 mutation batches (additions, removals, reweights) through one engine's
@@ -78,51 +72,21 @@ def reinforce(
     factor: float = 2.0,
     rng: Optional[np.random.Generator] = None,
     ledger: Ledger = NULL_LEDGER,
-    requery: bool = False,
 ) -> List[ReliabilityReport]:
     """Iteratively upgrade the weakest cut's links by ``factor``.
 
     Returns the per-round reports; ``reports[i].cut_value`` is
     non-decreasing in i (upgrading a cut cannot lower any other cut).
-
-    ``requery=False`` (the default) preprocesses each round's graph
-    afresh — bit-identical to the historical loop.  ``requery=True``
-    binds one :class:`repro.engine.CutEngine` and answers later rounds
-    through ``CutEngine.update(reweight=...)`` over the same
-    packed trees (re-running only the per-query search), trading the
-    per-round packing cost for the engine's coverage guarantee; both
-    modes report valid cuts w.h.p. and the same monotone trajectory.
-    All round reports index ``crossing_edges`` into the *initial*
-    graph's edge order in this mode (the topology never changes).
+    Each round's graph is preprocessed afresh; reweighting keeps the
+    topology, so every report's ``crossing_edges`` indexes the input
+    graph's edge order.
     """
-    from repro.engine.service import CutEngine
-
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
     rng = rng if rng is not None else np.random.default_rng()
     reports: List[ReliabilityReport] = []
-
-    if requery:
-        engine = CutEngine(graph, rng=rng, ledger=ledger)
-        w = np.array(graph.w, dtype=np.float64, copy=True)
-        for round_no in range(rounds):
-            # weight-only mutations through the engine's one mutation
-            # surface (update); staleness never rebases here — only the
-            # coverage trigger, as the historical requery loop had
-            res = (
-                engine.min_cut()
-                if round_no == 0
-                else engine.update(reweight=w, max_staleness=None).result
-            )
-            # cut_edges only reads topology + side, so indices stay
-            # valid against the initial edge order across all rounds
-            rep = _report(graph, res.value, res.side)
-            reports.append(rep)
-            w[rep.crossing_edges] *= factor
-        return reports
-
     current = graph
     for _ in range(rounds):
         rep = weakest_partition(current, rng=rng, ledger=ledger)
@@ -160,8 +124,6 @@ def monitor(
     *,
     rng: Optional[np.random.Generator] = None,
     ledger: Ledger = NULL_LEDGER,
-    rebase_threshold: Optional[float] = 3.0,
-    max_staleness: Optional[float] = 0.5,
 ) -> List[MonitorEvent]:
     """Track the weakest partition of an evolving network.
 
@@ -191,11 +153,7 @@ def monitor(
         )
     ]
     for step, batch in enumerate(update_batches, start=1):
-        upd = engine.update(
-            rebase_threshold=rebase_threshold,
-            max_staleness=max_staleness,
-            **dict(batch),
-        )
+        upd = engine.update(**dict(batch))
         events.append(
             MonitorEvent(
                 step=step,

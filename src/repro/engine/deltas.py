@@ -344,8 +344,9 @@ class UpdateResult:
     """What :meth:`CutEngine.update` hands back.
 
     ``result`` is the post-update minimum cut of the mutated graph —
-    exact w.h.p. and, unless ``verify=False``, certified by
-    :func:`repro.resilience.verify.verify_cut` (``verification``).
+    exact w.h.p. and, for every non-noop update, certified by
+    :func:`repro.resilience.verify.verify_cut` (``verification``; a
+    no-op keeps whatever certificate the memoized answer carries).
     ``epoch`` counts rebases over the engine's lifetime; a client that
     caches edge indices can compare epochs across calls to detect that
     the engine rebuilt (or another writer mutated) underneath it.

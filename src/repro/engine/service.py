@@ -47,14 +47,18 @@ graph's artifact chain in a :class:`~repro.engine.deltas.DeltaLog`, and
 are answered by re-running only the per-query 2-respecting search over
 the cached packed trees — the tree-packing argument keeps the cached
 candidate trees valid while the mutated minimum cut stays within the
-packing's coverage (~3× the stored underestimate).  Three triggers
-rebase the engine onto the mutated graph instead (cold preprocessing,
-epoch + 1): an added edge too heavy for the packing to certifiably
-cover, a cumulative staleness ratio past ``max_staleness``, or a
-post-search value past the coverage edge.  Every non-noop update's
-answer is certified by :func:`repro.resilience.verify.verify_cut`, with
-a seed-escalated rebase retry on mismatch — exactness never depends on
-the delta heuristics.  :meth:`rebase` is the explicit epoch bump, and
+packing's coverage (:data:`REBASE_THRESHOLD` × the stored
+underestimate).  Three triggers rebase the engine onto the mutated
+graph instead (cold preprocessing, epoch + 1): an added edge too heavy
+for the packing to certifiably cover, a cumulative staleness ratio past
+:data:`MAX_STALENESS`, or a post-search value past the coverage edge.
+Every non-noop update's answer is certified by
+:func:`repro.resilience.verify.verify_cut`, with up to
+:data:`MAX_VERIFY_RETRIES` seed-escalated rebase retries on mismatch —
+exactness never depends on the delta heuristics.  The policy is fixed:
+the write-ahead log replays an update from its mutation fields alone,
+so a per-call policy would let crash recovery diverge from the live
+engine.  :meth:`rebase` is the explicit epoch bump, and
 :meth:`snapshot_state` / :meth:`restore_state` expose the engine's
 durable identity to :mod:`repro.durability`.
 """
@@ -113,6 +117,17 @@ __all__ = ["CutEngine"]
 
 #: seed accepted anywhere NumPy's ``default_rng`` accepts one
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
+
+#: :meth:`CutEngine.update` rebases when an added edge, or the
+#: post-search value, exceeds this multiple of the stored underestimate:
+#: the packing's coverage factor (Section 4.2, Theorem 4.18)
+REBASE_THRESHOLD = 3.0
+#: ... or when the delta log's cumulative ``|Δw|`` exceeds this share of
+#: the base graph's total weight
+MAX_STALENESS = 0.5
+#: seed-escalated rebases after a failed verification before
+#: :meth:`CutEngine.update` raises
+MAX_VERIFY_RETRIES = 2
 
 
 def _batch_search(context, seed) -> tuple:
@@ -576,10 +591,6 @@ class CutEngine:
         add_edges: Optional[EdgeList] = None,
         remove_edges: Optional[Union[Sequence[int], np.ndarray]] = None,
         reweight: Optional[Reweight] = None,
-        rebase_threshold: Optional[float] = 3.0,
-        max_staleness: Optional[float] = 0.5,
-        verify: bool = True,
-        max_verify_retries: int = 2,
     ) -> UpdateResult:
         """Mutate the bound graph and answer its new minimum cut.
 
@@ -600,32 +611,31 @@ class CutEngine:
         trigger fires — each counted under ``engine.rebase.<reason>``:
 
         ``uncovered_edge``
-            an added edge heavier than ``rebase_threshold`` × the
+            an added edge heavier than :data:`REBASE_THRESHOLD` × the
             stored underestimate could itself change the cut structure
             beyond what the packing certifiably covers;
         ``staleness``
             the log's cumulative absolute weight displacement exceeds
-            ``max_staleness`` × the base total weight;
+            :data:`MAX_STALENESS` × the base total weight;
         ``coverage``
-            the post-search value exceeds ``rebase_threshold`` × the
+            the post-search value exceeds :data:`REBASE_THRESHOLD` × the
             stored underestimate (the classic coverage edge);
         ``fault`` / ``base_early`` / ``verify``
             an armed ``delta.force_rebase`` fault, a base graph that
             never had artifacts (disconnected/tiny), or a failed
             verification (below).
 
-        Unless ``verify=False``, the answer is certified by
+        Every answer is certified by
         :func:`repro.resilience.verify.verify_cut`; on a failed
         certificate the engine escalates its seed, rebases, and retries
-        (``max_verify_retries`` times) before raising
+        (up to :data:`MAX_VERIFY_RETRIES` times) before raising
         :class:`~repro.errors.UpdateVerificationError` — exactness
         never depends on the delta heuristics.
 
         A no-op batch (no additions, no removals, a reweight restating
         current weights) is answered by :meth:`min_cut` — a memo hit
         that charges nothing once the graph has been queried, counted
-        by ``engine.update_noops``.  ``None`` for ``rebase_threshold``
-        or ``max_staleness`` disables that trigger.
+        by ``engine.update_noops``.
         """
         reg = obs.counters()
         reg.add("engine.updates")
@@ -662,23 +672,17 @@ class CutEngine:
             # the base epoch never built artifacts past validation
             # (disconnected or tiny graph): nothing to patch, go cold
             reason = "base_early"
-        elif (
-            max_staleness is not None
-            and self._delta_log.staleness_ratio() > max_staleness
-        ):
+        elif self._delta_log.staleness_ratio() > MAX_STALENESS:
             reason = "staleness"
-        elif rebase_threshold is not None and delta.max_added_weight > 0:
+        elif delta.max_added_weight > 0:
             lam = self._approximated(ledger).lambda_underestimate
-            if delta.max_added_weight > rebase_threshold * lam:
+            if delta.max_added_weight > REBASE_THRESHOLD * lam:
                 reason = "uncovered_edge"
         res: Optional[CutResult] = None
         if reason is None:
             res = self._answer(ledger)
-            if (
-                rebase_threshold is not None
-                and res.value
-                > rebase_threshold * self._approximated(ledger).lambda_underestimate
-            ):
+            lam = self._approximated(ledger).lambda_underestimate
+            if res.value > REBASE_THRESHOLD * lam:
                 # the packing no longer certifiably covers the minimum
                 # cut of the mutated graph
                 reason = "coverage"
@@ -689,37 +693,34 @@ class CutEngine:
             reg.add(f"engine.rebase.{reason}")
             self.rebase()
             res = self.min_cut()
-        report = None
-        if verify:
-            for attempt in range(max_verify_retries + 1):
-                with obs.phase("verify", ledger):
-                    report = verify_cut(self._graph, res, ledger=ledger)
-                if report.ok:
-                    break
-                reg.add("engine.update_verify_failures")
-                if attempt == max_verify_retries:
-                    raise UpdateVerificationError(
-                        f"post-update cut (value {res.value}) failed "
-                        f"verification after {max_verify_retries} "
-                        f"seed-escalated rebases: {report.detail}"
-                    )
-                # seed-escalated retry: derive a fresh stream, rebase
-                # cold, and answer again — a w.h.p. miss of the packed
-                # trees must not survive into the returned result
-                self._rng = np.random.default_rng(
-                    int(self._rng.integers(2**63)) + attempt
+        for attempt in range(MAX_VERIFY_RETRIES + 1):
+            with obs.phase("verify", ledger):
+                report = verify_cut(self._graph, res, ledger=ledger)
+            if report.ok:
+                break
+            reg.add("engine.update_verify_failures")
+            if attempt == MAX_VERIFY_RETRIES:
+                raise UpdateVerificationError(
+                    f"post-update cut (value {res.value}) failed "
+                    f"verification after {MAX_VERIFY_RETRIES} "
+                    f"seed-escalated rebases: {report.detail}"
                 )
-                if not rebased:
-                    rebased, reason = True, "verify"
-                    reg.add("engine.rebases")
-                    reg.add("engine.rebase.verify")
-                self.rebase()
-                res = self.min_cut()
-        if report is not None:
-            # the certificate is a property of the answer itself, so
-            # later reads and no-op updates served from the memo keep it
-            res = dataclasses.replace(res, verification=report)
-            self.cache.put("result", self._fp_current, res)
+            # seed-escalated retry: derive a fresh stream, rebase
+            # cold, and answer again — a w.h.p. miss of the packed
+            # trees must not survive into the returned result
+            self._rng = np.random.default_rng(
+                int(self._rng.integers(2**63)) + attempt
+            )
+            if not rebased:
+                rebased, reason = True, "verify"
+                reg.add("engine.rebases")
+                reg.add("engine.rebase.verify")
+            self.rebase()
+            res = self.min_cut()
+        # the certificate is a property of the answer itself, so later
+        # reads and no-op updates served from the memo keep it
+        res = dataclasses.replace(res, verification=report)
+        self.cache.put("result", self._fp_current, res)
         return self._update_result(res, delta, report, rebased, reason)
 
     def _update_result(

@@ -64,28 +64,11 @@ class RangeQueryStats:
         self.nodes_visited += other.nodes_visited
 
 
-#: Single-set batch sizes at or below this answer
-#: :meth:`FlatRangeTree2D.query_many` with a scalar loop.  Scalar queries
-#: measure 20-40us per rectangle on the 2-respecting search's trees
-#: (m ~ 2000), and the vectorized rounds already win from ~50-100
-#: rectangles there; the cutoff has not been retuned since.  Affects
-#: wall-clock only, never parity.
-_SCALAR_BATCH_CUTOFF = 192
-
-#: Longer batches run the vectorized traversal this many rectangles at a
-#: time, which bounds its temporaries (a lockstep round of the terminal
-#: search can ask ~10k rectangles).  Affects memory and wall-clock only.
+#: :meth:`FlatRangeTree2D.query_many` runs its vectorized traversal this
+#: many rectangles at a time, which bounds its temporaries (a lockstep
+#: round of the terminal search can ask ~10k rectangles).  Affects
+#: memory and wall-clock only.
 _VECTOR_CHUNK = 1024
-
-
-class _ChargeRecorder:
-    """Captures the single (work, depth) charge of one scalar query."""
-
-    __slots__ = ("work", "depth")
-
-    def charge(self, work: float, depth: float = 1.0) -> None:
-        self.work = work
-        self.depth = depth
 
 
 def _chain_sizes(s: int, b: int) -> List[int]:
@@ -877,28 +860,11 @@ class FlatRangeTree2D:
         y2 = np.asarray(y2, dtype=np.int64)
         q = x1.shape[0]
         trees = np.broadcast_to(np.asarray(tree, dtype=np.int64), (q,))
-        one = self.k == 1 or q == 0 or bool(trees.min() == trees.max())
         reg = counters()
         if reg.enabled:
             # observability only — never part of the parity contract
             reg.add("kernels.batch_calls")
             reg.add("kernels.batch_entries", float(q))
-        if 0 < q <= _SCALAR_BATCH_CUTOFF and one:
-            # tiny one-set batches: the vectorized rounds' fixed cost
-            # exceeds a scalar loop; answers/charges/stats are identical
-            # either way (mixed-set batches stay vectorized)
-            t = int(trees[0])
-            totals = np.empty(q, dtype=np.float64)
-            works = np.empty(q, dtype=np.float64)
-            depths = np.empty(q, dtype=np.float64)
-            rec = _ChargeRecorder()
-            for i in range(q):
-                totals[i] = self.query(
-                    int(x1[i]), int(x2[i]), int(y1[i]), int(y2[i]), ledger=rec, tree=t
-                )
-                works[i] = rec.work
-                depths[i] = rec.depth
-            return totals, works, depths
         totals = np.zeros(q, dtype=np.float64)
         works = np.ones(q, dtype=np.float64)
         depths = np.ones(q, dtype=np.float64)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.apps
 from repro.errors import InvalidParameterError
 from repro.graphs import random_connected_graph
 
@@ -111,6 +112,30 @@ class TestKeywordOnlySignatures:
         # the one-release shim is gone: positionals are a plain TypeError
         with pytest.raises(TypeError):
             repro.approximate_minimum_cut(graph, repro.HierarchyParams())
+
+    @pytest.mark.parametrize(
+        "func, params",
+        [
+            (
+                repro.CutEngine.update,
+                ["self", "add_edges", "remove_edges", "reweight"],
+            ),
+            (
+                repro.apps.monitor,
+                ["graph", "update_batches", "rng", "ledger"],
+            ),
+            (
+                repro.apps.reinforce,
+                ["graph", "rounds", "factor", "rng", "ledger"],
+            ),
+        ],
+        ids=["CutEngine.update", "monitor", "reinforce"],
+    )
+    def test_update_policy_is_not_a_parameter(self, func, params):
+        # the rebase/staleness/verification policy is a set of module
+        # constants of repro.engine.service: the write-ahead log replays
+        # updates from their mutation fields alone
+        assert list(inspect.signature(func).parameters) == params
 
 
 class TestPipelineParams:

@@ -8,6 +8,8 @@ work/depth, and per-phase records — to the straight-through stage chain
 in ``tests/reference_pipeline.py`` with the same inputs.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.engine import (
     TreeIndex,
     combine_fingerprint,
     graph_fingerprint,
+    service,
 )
 from repro.engine.stages import approximate_stage
 from repro.errors import InvalidParameterError
@@ -360,12 +363,13 @@ class TestBatch:
         assert all(r.report is not None for r in results)
 
 
-def _reweight(engine, weights, **kwargs):
+def _reweight(engine, weights):
     # the historical weight-only contract tests, spelled through the
-    # engine's one mutation surface (max_staleness=None matches the old
-    # weight-only semantics: only the coverage trigger can rebase)
-    kwargs.setdefault("max_staleness", None)
-    return engine.update(reweight=weights, **kwargs).result
+    # engine's one mutation surface (an infinite MAX_STALENESS matches
+    # the old weight-only semantics: only the coverage trigger can rebase)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(service, "MAX_STALENESS", math.inf)
+        return engine.update(reweight=weights).result
 
 
 class TestReweight:
@@ -444,7 +448,9 @@ class TestReweightNoop:
             res_same = _reweight(engine, graph.w.copy())  # identical full vector
             # a threshold this tight would force a rebase on any result
             # that actually re-ran the threshold accounting
-            res_tight = _reweight(engine, {}, rebase_threshold=1e-9)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(service, "REBASE_THRESHOLD", 1e-9)
+                res_tight = _reweight(engine, {})
         for res in (res_empty, res_same, res_tight):
             assert res.value == base.value
             assert dict(res.stats)["update"] == 1.0

@@ -9,11 +9,14 @@ executor backends and with a ``delta.force_rebase`` fault injected
 mid-sequence.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import repro
 from repro.engine import CutEngine, DeltaLog, GraphDelta, UpdateResult, as_delta
+from repro.engine import service
 from repro.engine.deltas import random_delta
 from repro.errors import GraphFormatError
 from repro.graphs import Graph, random_connected_graph
@@ -225,15 +228,16 @@ class TestRebaseTriggers:
         assert reg.get("engine.rebase.staleness") == 1.0
         assert upd.value == _cold_value(engine.graph)
 
-    def test_uncovered_edge_trigger(self, graph):
+    def test_uncovered_edge_trigger(self, graph, monkeypatch):
         reg = CounterRegistry()
         engine = CutEngine(graph, seed=7)
         base = engine.min_cut()
         heavy = float(base.value) * 1000.0
+        # staleness is checked first by design; disable it so the
+        # uncovered-new-edge trigger is the one that fires
+        monkeypatch.setattr(service, "MAX_STALENESS", math.inf)
         with counting_scope(reg):
-            # staleness is checked first by design; disable it so the
-            # uncovered-new-edge trigger is the one that fires
-            upd = engine.update(add_edges=[(0, 1, heavy)], max_staleness=None)
+            upd = engine.update(add_edges=[(0, 1, heavy)])
         assert upd.rebased and upd.rebase_reason == "uncovered_edge"
         assert reg.get("engine.rebase.uncovered_edge") == 1.0
         assert upd.value == _cold_value(engine.graph)
@@ -334,7 +338,7 @@ class TestEpochSemantics:
 
 
 class TestRequeryRemoved:
-    def test_requery_shim_expired(self, graph):
+    def test_requery_shim_expired(self, graph, monkeypatch):
         # the deprecated shim's one-release runway ended with the
         # durable-state release: no attribute, no silent fallback
         engine = CutEngine(graph, seed=7)
@@ -342,8 +346,9 @@ class TestRequeryRemoved:
         # its weight-only semantics live on as the documented spelling
         engine.min_cut()
         reg = CounterRegistry()
+        monkeypatch.setattr(service, "MAX_STALENESS", math.inf)
         with counting_scope(reg):
-            res = engine.update(reweight=graph.w * 1.25, max_staleness=None)
+            res = engine.update(reweight=graph.w * 1.25)
         assert reg.get("engine.updates") == 1.0
         assert dict(res.result.stats)["update"] == 1.0
 
